@@ -26,6 +26,7 @@ from .paillier import (
     keygen,
     rerandomize,
     scalar_mul,
+    split_residue,
     validate_residue_base,
 )
 from .signature import Signature, blind, sign, sign_raw, unblind, verify, verify_message
@@ -69,6 +70,7 @@ __all__ = [
     "shamir_keygen",
     "sign",
     "sign_raw",
+    "split_residue",
     "tp_decrypt",
     "tp_encrypt",
     "unblind",

@@ -12,8 +12,8 @@ import binascii
 
 from . import numtheory as nt
 from .encoding import decode_uint, encode_uint
-from .errors import ParseError
-from .paillier import PrivateKey, PublicKey
+from .errors import DomainError, NotInvertible, ParseError
+from .paillier import PrivateKey, PublicKey, derive_key
 from .signature import BlindingSecret, Signature
 
 PUBLIC_HEADER = "paillier-public-v1"
@@ -80,14 +80,20 @@ def parse_key(data: bytes) -> PublicKey | PrivateKey:
         n, g, p, q, lam, mu = _decode_fields(body, 6)
         if p * q != n:
             raise ParseError("field mismatch: n is not p*q", offset=0)
+        if min(p, q) < 2:
+            raise ParseError(f"factor {min(p, q)} is too small", offset=0)
         if lam != nt.lcm(p - 1, q - 1):
             raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
         n_squared = n * n
-        if nt.gcd(g, n_squared) != 1:
+        if not 0 < g < n_squared or nt.gcd(g, n_squared) != 1:
             raise ParseError("residue base is not a unit modulo n^2", offset=0)
-        if nt.l_function(pow(g, lam, n_squared), n) * mu % n != 1:
+        try:
+            key = derive_key(p, q, g)
+        except (DomainError, NotInvertible):
+            key = None  # no mu inverts L(g^lambda) when g is no residue base
+        if key is None or key.mu != mu:
             raise ParseError("field mismatch: mu does not invert L(g^lambda)", offset=0)
-        return PrivateKey(p=p, q=q, lam=lam, mu=mu, public=PublicKey(n=n, g=g))
+        return key
     raise ParseError(f"unknown header {header!r}", offset=0)
 
 

@@ -273,7 +273,8 @@ def serve_three_pass(
     Sequential by default; with ``parallel`` each connection gets its own
     thread (sessions stay fully independent -- no state is shared).
     ``rng_factory`` maps the 0-based session index to a RandomSource, which
-    keeps seeded runs deterministic per session.
+    keeps seeded runs deterministic per session. ``on_outcome`` runs once
+    per completed session, never for two sessions at once.
     """
     outcomes: list[ResponderOutcome] = []
     failures: list[Exception] = []
@@ -292,8 +293,8 @@ def serve_three_pass(
             channel.close()
         with lock:
             outcomes.append(outcome)
-        if on_outcome:
-            on_outcome(outcome)
+            if on_outcome:
+                on_outcome(outcome)
 
     with socket.create_server((host, port)) as server:
         server.settimeout(timeout)

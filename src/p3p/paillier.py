@@ -1,10 +1,12 @@
 """Paillier keys, the probabilistic scheme, and its homomorphic operations.
 
-Encryption maps (m, x) to g^m * x^n mod n^2; decryption recovers m through
-the Carmichael value lambda = lcm(p-1, q-1). Ciphertexts multiply to add
-their plaintexts, exponentiate to scale them, and can be re-randomized
-without the private key (self-blinding). Keys and ciphertexts are
-immutable; every operation is pure.
+Encryption maps (m, x) to g^m * x^n mod n^2. Every private-key operation
+is one split of a unit w into its class s1 and the principal n-th root s2
+of its residue part, w = g^s1 * s2^n mod n^2, computed modulo p^2, q^2, p
+and q and recombined by CRT (Paillier, EUROCRYPT '99, section 7).
+Ciphertexts multiply to add their plaintexts, exponentiate to scale them,
+and can be re-randomized without the private key (self-blinding). Keys and
+ciphertexts are immutable; every operation is pure.
 """
 
 import enum
@@ -69,13 +71,43 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Factorization trapdoor plus the precomputed decryption inverse mu."""
+    """Factorization trapdoor plus the precomputed decryption inverse mu.
+
+    The fields after ``public`` are CRT constants derived on construction
+    from the ones before it. They are neither serialized nor compared.
+    """
 
     p: int = field(repr=False)
     q: int = field(repr=False)
     lam: int = field(repr=False)  # lcm(p-1, q-1)
     mu: int = field(repr=False)  # L(g^lam mod n^2)^-1 mod n
     public: PublicKey
+    p_squared: int = field(init=False, repr=False, compare=False)
+    q_squared: int = field(init=False, repr=False, compare=False)
+    # h_p = L_p(g^(p-1) mod p^2)^-1 mod p, and h_q the same modulo q
+    h_p: int = field(init=False, repr=False, compare=False)
+    h_q: int = field(init=False, repr=False, compare=False)
+    p_inv: int = field(init=False, repr=False, compare=False)  # p^-1 mod q
+    d_p: int = field(init=False, repr=False, compare=False)  # n^-1 mod (p-1)
+    d_q: int = field(init=False, repr=False, compare=False)  # n^-1 mod (q-1)
+
+    def __post_init__(self):
+        p, q, n = self.p, self.q, self.public.n
+        q_inv = nt.mod_inv(q, p)
+        p_inv = nt.mod_inv(p, q)
+        # mu = L(g^lam)^-1 and L(g^lam) = L_p(g^(p-1)) * lam/(p-1) / q (mod p),
+        # so h_p follows from mu without a pow; likewise h_q.
+        derived = {
+            "p_squared": p * p,
+            "q_squared": q * q,
+            "h_p": self.mu * (self.lam // (p - 1)) * q_inv % p,
+            "h_q": self.mu * (self.lam // (q - 1)) * p_inv % q,
+            "p_inv": p_inv,
+            "d_p": nt.mod_inv(n, p - 1),
+            "d_q": nt.mod_inv(n, q - 1),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __repr__(self):
         return f"<PrivateKey for {self.public!r}>"
@@ -97,22 +129,34 @@ def validate_residue_base(g: int, n: int, lam: int) -> bool:
     return nt.gcd(nt.l_function(pow(g, lam, n_squared), n), n) == 1
 
 
-def _derive(p: int, q: int, g: int | None, rng) -> PrivateKey:
+def _crt(p: int, q: int, p_inv: int, r_p: int, r_q: int) -> int:
+    """The value below p*q that is r_p mod p and r_q mod q."""
+    return r_p + p * ((r_q - r_p) * p_inv % q)
+
+
+def derive_key(p: int, q: int, g: int) -> PrivateKey:
+    """The key with primes p, q and residue base g.
+
+    The one derivation behind keygen, from_primes and keyfile.parse_key.
+    mu = L(g^lam mod n^2)^-1 mod n is computed modulo p and modulo q, at one
+    pow mod p^2 and one mod q^2 whatever the base. Raises DomainError
+    unless g is a residue base; p and q are trusted to be distinct primes.
+    """
     n = p * q
-    lam = nt.lcm(p - 1, q - 1)
     n_squared = n * n
-    if g is None:
-        for _ in range(_RANDOM_BASE_ATTEMPTS):
-            g = nt.random_unit(n_squared, rng)
-            if validate_residue_base(g, n, lam):
-                break
-        else:
-            raise InternalError(
-                f"no residue base found in {_RANDOM_BASE_ATTEMPTS} draws"
-            )
-    elif not validate_residue_base(g, n, lam):
-        raise DomainError(f"{g} is not a residue base for n={n}")
-    mu = nt.mod_inv(nt.l_function(pow(g, lam, n_squared), n), n)
+    if not 0 < g < n_squared or nt.gcd(g, n_squared) != 1:
+        raise DomainError("base is not a unit modulo n^2")
+    lam = nt.lcm(p - 1, q - 1)
+    mu_parts = []
+    for prime, other in ((p, q), (q, p)):
+        l_value = nt.l_function(pow(g, prime - 1, prime * prime), prime)
+        # L(g^lam mod n^2) = l_value * lam/(prime-1) / other  (mod prime)
+        try:
+            inverse = nt.mod_inv(l_value * (lam // (prime - 1)), prime)
+        except NotInvertible:
+            raise DomainError(f"{g} is not a residue base for n={n}") from None
+        mu_parts.append(other * inverse % prime)
+    mu = _crt(p, q, nt.mod_inv(p, q), *mu_parts)
     return PrivateKey(p=p, q=q, lam=lam, mu=mu, public=PublicKey(n=n, g=g))
 
 
@@ -138,8 +182,15 @@ def keygen(
         if nt.gcd(p * q, nt.lcm(p - 1, q - 1)) != 1:
             continue
         break
-    g = p * q + 1 if base_strategy is BaseStrategy.SAFE_DEFAULT else None
-    return _derive(p, q, g, rng)
+    n = p * q
+    if base_strategy is BaseStrategy.SAFE_DEFAULT:
+        return derive_key(p, q, n + 1)
+    for _ in range(_RANDOM_BASE_ATTEMPTS):
+        try:
+            return derive_key(p, q, nt.random_unit(n * n, rng))
+        except DomainError:
+            continue
+    raise InternalError(f"no residue base found in {_RANDOM_BASE_ATTEMPTS} draws")
 
 
 def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
@@ -157,7 +208,7 @@ def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
     lam = nt.lcm(p - 1, q - 1)
     if nt.gcd(n, lam) != 1:
         raise DomainError(f"gcd(n, lambda) = {nt.gcd(n, lam)} != 1; key unusable")
-    return _derive(p, q, n + 1 if g is None else g, None)
+    return derive_key(p, q, n + 1 if g is None else g)
 
 
 def _check_plaintext(pk: PublicKey, m: int) -> None:
@@ -204,12 +255,24 @@ def _check_ciphertext_value(pk: PublicKey, value: int) -> None:
         raise MalformedCiphertext(f"{value} is not a unit modulo n^2")
 
 
+def _class(sk: PrivateKey, w: int) -> int:
+    # Z*_{p^2} has order p(p-1), so w = g^s1 * x^n gives w^(p-1) = g^(s1(p-1)).
+    p, q = sk.p, sk.q
+    return _crt(
+        p,
+        q,
+        sk.p_inv,
+        nt.l_function(pow(w, p - 1, sk.p_squared), p) * sk.h_p % p,
+        nt.l_function(pow(w, q - 1, sk.q_squared), q) * sk.h_q % q,
+    )
+
+
 def decrypt(sk: PrivateKey, c: Ciphertext) -> int:
-    """Recover m = L(c^lambda mod n^2) * mu mod n."""
+    """Recover m, the class of c relative to the key's base."""
     pk = sk.public
     _check_key(pk, c)
     _check_ciphertext_value(pk, c.value)
-    return nt.l_function(pow(c.value, sk.lam, pk.n_squared), pk.n) * sk.mu % pk.n
+    return _class(sk, c.value)
 
 
 def extract_class(sk: PrivateKey, w: int, base: int) -> int:
@@ -219,18 +282,15 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
     if not 0 < w < pk.n_squared or nt.gcd(w, pk.n_squared) != 1:
         raise DomainError(f"{w} is not a unit modulo n^2")
     if base == pk.g:
-        denominator_inv = sk.mu
-    else:
-        if not validate_residue_base(base, pk.n, sk.lam):
-            raise DomainError(f"{base} is not a valid residue base")
-        denominator_inv = nt.mod_inv(
-            nt.l_function(pow(base, sk.lam, pk.n_squared), pk.n), pk.n
-        )
-    return (
-        nt.l_function(pow(w, sk.lam, pk.n_squared), pk.n)
-        * denominator_inv
-        % pk.n
-    )
+        return _class(sk, w)
+    if not 0 < base < pk.n_squared or nt.gcd(base, pk.n_squared) != 1:
+        raise DomainError("base is not a unit modulo n^2")
+    # change of base: class_base(w) = class_g(w) / class_g(base)
+    try:
+        denominator_inv = nt.mod_inv(_class(sk, base), pk.n)
+    except NotInvertible:
+        raise DomainError(f"{base} is not a valid residue base") from None
+    return _class(sk, w) * denominator_inv % pk.n
 
 
 def extract_residue(sk: PrivateKey, w: int) -> int:
@@ -243,11 +303,28 @@ def extract_residue(sk: PrivateKey, w: int) -> int:
 def principal_root(sk: PrivateKey, value: int) -> int:
     """The unique n-th root below n of an n-residue.
 
-    ``value`` may be given modulo n^2; it is reduced modulo n first.
-    Meaningful only when the reduced value is a unit modulo n.
+    ``value`` may be given modulo n^2 or larger; only its residues modulo
+    p and q are used. Meaningful only when it is a unit modulo n.
+    """
+    # gcd(n, lambda) = 1, so x -> x^n permutes Z*_p and Z*_q.
+    p, q = sk.p, sk.q
+    return _crt(p, q, sk.p_inv, pow(value % p, sk.d_p, p), pow(value % q, sk.d_q, q))
+
+
+def split_residue(sk: PrivateKey, w: int) -> tuple[int, int]:
+    """The pair (s1, s2) with w = g^s1 * s2^n mod n^2 for a unit w.
+
+    s1 is the class of w relative to the key's base and s2 < n the
+    principal n-th root of its residue part w * g^-s1, which the root
+    needs only modulo p and q.
     """
     pk = sk.public
-    return pow(value % pk.n, nt.mod_inv(pk.n, sk.lam), pk.n)
+    s1 = extract_class(sk, w, pk.g)
+    if pk.g != pk.n + 1:  # the default base is 1 mod n, so it divides out for free
+        p, q = sk.p, sk.q
+        g_p, g_q = pow(pk.g, -s1 % (p - 1), p), pow(pk.g, -s1 % (q - 1), q)
+        w *= _crt(p, q, sk.p_inv, g_p, g_q)
+    return s1, principal_root(sk, w)
 
 
 def homomorphic_add(pk: PublicKey, c1: Ciphertext, c2: Ciphertext) -> Ciphertext:

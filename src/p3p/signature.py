@@ -2,9 +2,9 @@
 
 A signature (s1, s2) of m satisfies m = g^s1 * s2^n mod n^2: s1 is the
 message's residue class, s2 the principal root of what remains. Blinding
-multiplies the message by x^n before signing; since that factor vanishes
-under the lambda exponent, the signer's s1 equals the s1 of the original
-message -- blindness here covers the residue part only, not the class.
+multiplies the message by x^n before signing; since an n-th power has
+class 0, the signer's s1 equals the s1 of the original message --
+blindness here covers the residue part only, not the class.
 """
 
 import hashlib
@@ -12,13 +12,7 @@ from dataclasses import dataclass, field
 
 from . import numtheory as nt
 from .errors import DomainError, InternalError, NotSignable
-from .paillier import (
-    PrivateKey,
-    PublicKey,
-    extract_class,
-    principal_root,
-    _pow_g,
-)
+from .paillier import PrivateKey, PublicKey, _pow_g, split_residue
 
 _HASH_ATTEMPTS = 256
 
@@ -50,8 +44,7 @@ def sign_raw(sk: PrivateKey, m: int) -> Signature:
     """Sign a unit m in Z*_{n^2} directly, without hashing."""
     pk = sk.public
     _check_signable(pk, m)
-    s1 = extract_class(sk, m, pk.g)
-    s2 = principal_root(sk, m * nt.mod_inv(_pow_g(pk, s1), pk.n_squared) % pk.n_squared)
+    s1, s2 = split_residue(sk, m)
     return Signature(s1=s1, s2=s2)
 
 

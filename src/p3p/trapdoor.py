@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import numtheory as nt
 from .errors import DomainError, InadmissibleMessage, KeyMismatch, MalformedCiphertext
-from .paillier import Ciphertext, PrivateKey, PublicKey, extract_class, principal_root, _pow_g
+from .paillier import Ciphertext, PrivateKey, PublicKey, _pow_g, split_residue
 
 REASON_ZERO_QUOTIENT = "zero-quotient"
 REASON_NOT_COPRIME = "quotient-not-coprime"
@@ -71,9 +71,7 @@ def tp_decrypt(sk: PrivateKey, c: Ciphertext) -> int:
         raise KeyMismatch("ciphertext was created under a different key")
     if not 0 < c.value < pk.n_squared or nt.gcd(c.value, pk.n_squared) != 1:
         raise MalformedCiphertext(f"{c.value} is not a unit modulo n^2")
-    low = extract_class(sk, c.value, pk.g)
-    residue = c.value * nt.mod_inv(_pow_g(pk, low), pk.n_squared) % pk.n_squared
-    high = principal_root(sk, residue)
+    low, high = split_residue(sk, c.value)
     if high == 0 or nt.gcd(high, pk.n) != 1:
         raise MalformedCiphertext(
             f"recovered quotient {high} is outside the admissible domain"

@@ -54,3 +54,29 @@ def brute_force_class(n, g, w):
     }
     assert len(found) == 1, f"search found {sorted(found)} for {w}"
     return found.pop()
+
+
+def textbook_class(p, q, g, w):
+    """Class of w relative to base g through the Carmichael value:
+    L(w^lambda mod n^2) * L(g^lambda mod n^2)^-1 mod n. With the key's
+    base this is textbook decryption, L(c^lambda) * mu mod n."""
+    n = p * q
+    n2 = n * n
+    lam = (p - 1) * (q - 1) // egcd(p - 1, q - 1)[0]
+    return (
+        (pow(w, lam, n2) - 1) // n * egcd_inverse((pow(g, lam, n2) - 1) // n, n) % n
+    )
+
+
+def textbook_root(p, q, v):
+    """Principal n-th root of v: v^(1/n mod lambda) mod n."""
+    n = p * q
+    lam = (p - 1) * (q - 1) // egcd(p - 1, q - 1)[0]
+    return pow(v % n, egcd_inverse(n, lam), n)
+
+
+def textbook_split(p, q, g, w):
+    """(class, principal root of w * g^-class) by the two formulas above."""
+    n = p * q
+    s1 = textbook_class(p, q, g, w)
+    return s1, textbook_root(p, q, w * egcd_inverse(pow(g, s1, n * n), n * n))

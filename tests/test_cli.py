@@ -3,8 +3,12 @@ import re
 import stat
 import subprocess
 import sys
+import threading
 
 import pytest
+
+from p3p import keyfile, net
+from p3p.threepass import PaillierInitiatorSession
 
 CLI = [sys.executable, "-m", "p3p"]
 
@@ -223,6 +227,55 @@ def test_three_pass_over_tcp(keypair):
         out, err = listener.communicate(timeout=20)
         assert listener.returncode == 0, err
         assert "recovered 2a" in out
+    finally:
+        if listener.poll() is None:
+            listener.kill()
+            listener.communicate()
+
+
+def test_parallel_listener_prints_whole_lines(keypair):
+    sk = keyfile.parse_key(open(f"{keypair}.key", "rb").read())
+    clients, per_client = 4, 25
+    # A tiny switch interval makes the listener's session threads preempt
+    # each other often, so unsynchronised printing would split lines.
+    code = (
+        "import sys; sys.setswitchinterval(1e-6); from p3p.cli import main; "
+        "sys.exit(main(sys.argv[1:]))"
+    )
+    listener = subprocess.Popen(
+        [sys.executable, "-c", code, "3pass-listen", "--port", "0", "--parallel",
+         "--count", str(clients * per_client), "--seed", "9", "--timeout", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = listener.stdout.readline()
+        match = re.search(r":(\d+)$", line.strip())
+        assert match, f"no port in {line!r}"
+        port = int(match.group(1))
+        messages = [[1000 * c + i for i in range(per_client)] for c in range(clients)]
+        errors = []
+
+        def client(batch):
+            try:
+                for m in batch:
+                    session = PaillierInitiatorSession(sk, m)
+                    net.send_over_tcp("127.0.0.1", port, session, timeout=20)
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=client, args=(b,)) for b in messages]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert errors == []
+        out, err = listener.communicate(timeout=30)
+        assert listener.returncode == 0, err
+        expected = sorted(f"recovered {m:x}" for batch in messages for m in batch)
+        assert sorted(out.splitlines()) == expected
     finally:
         if listener.poll() is None:
             listener.kill()

@@ -1,0 +1,111 @@
+"""The CRT private-key core against the textbook lambda formulas.
+
+Every private-key operation goes through ``paillier.split_residue`` or its
+class half; ``oracles`` computes the same values with c^lambda mod n^2 and
+v^(1/n mod lambda) mod n.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from p3p import paillier, signature, trapdoor
+from p3p.paillier import BaseStrategy, Ciphertext
+
+from oracles import (
+    egcd_inverse,
+    textbook_class,
+    textbook_root,
+    textbook_split,
+    units,
+)
+
+
+def _other_base(p, q, avoid):
+    """Smallest residue base of n = p*q that is not ``avoid``."""
+    n = p * q
+    for g in units(n * n):
+        if g == avoid:
+            continue
+        try:
+            textbook_class(p, q, g, g)
+        except AssertionError:  # L(g^lambda) is not invertible
+            continue
+        return g
+    raise AssertionError("no other residue base")
+
+
+TOY_KEYS = [
+    paillier.from_primes(p, q, g)
+    for p, q in ((3, 5), (5, 7))
+    for g in (None, _other_base(p, q, p * q + 1))
+]
+
+
+@pytest.mark.parametrize("sk", TOY_KEYS, ids=lambda k: f"n{k.public.n}-g{k.public.g}")
+def test_crt_fields_match_their_definitions(sk):
+    p, q, n = sk.p, sk.q, sk.public.n
+    g = sk.public.g
+    assert (sk.p_squared, sk.q_squared) == (p * p, q * q)
+    assert sk.h_p == egcd_inverse((pow(g, p - 1, p * p) - 1) // p, p)
+    assert sk.h_q == egcd_inverse((pow(g, q - 1, q * q) - 1) // q, q)
+    assert sk.p_inv == egcd_inverse(p, q)
+    assert (sk.d_p, sk.d_q) == (egcd_inverse(n, p - 1), egcd_inverse(n, q - 1))
+    assert sk.mu == egcd_inverse((pow(g, sk.lam, n * n) - 1) // n, n)
+
+
+@pytest.mark.parametrize("sk", TOY_KEYS, ids=lambda k: f"n{k.public.n}-g{k.public.g}")
+def test_crt_core_exhaustive_small_modulus(sk):
+    p, q = sk.p, sk.q
+    pk = sk.public
+    n, n2, g = pk.n, pk.n_squared, pk.g
+    other = _other_base(p, q, g)
+    for w in units(n2):
+        s1, s2 = paillier.split_residue(sk, w)
+        assert (s1, s2) == textbook_split(p, q, g, w)
+        assert w == pow(g, s1, n2) * pow(s2, n, n2) % n2
+        assert paillier.decrypt(sk, Ciphertext(w, pk.fingerprint)) == s1
+        assert paillier.extract_class(sk, w, g) == s1
+        assert paillier.extract_class(sk, w, other) == textbook_class(p, q, other, w)
+        assert paillier.extract_residue(sk, w) == pow(s2, n, n2)
+        assert paillier.principal_root(sk, w) == textbook_root(p, q, w)
+        assert signature.sign_raw(sk, w) == signature.Signature(s1, s2)
+
+
+@pytest.mark.parametrize("strategy", list(BaseStrategy), ids=str)
+def test_crt_core_matches_textbook_on_512_bit_keys(strategy):
+    rng = random.Random(f"crt-{strategy}")
+    for _ in range(2):
+        sk = paillier.keygen(256, strategy, rng)
+        p, q = sk.p, sk.q
+        pk = sk.public
+        n, n2, g = pk.n, pk.n_squared, pk.g
+        other = rng.randrange(2, n2)  # a residue base but for odds of ~2^-255
+        for _ in range(3):
+            m = rng.randrange(n)
+            c = paillier.encrypt(pk, m, rng)
+            assert paillier.decrypt(sk, c) == textbook_class(p, q, g, c.value) == m
+            w = rng.randrange(1, n2)
+            s1, s2 = textbook_split(p, q, g, w)
+            assert paillier.split_residue(sk, w) == (s1, s2)
+            assert paillier.extract_class(sk, w, g) == s1
+            assert paillier.extract_class(sk, w, other) == textbook_class(p, q, other, w)
+            assert paillier.extract_residue(sk, w) == pow(s2, n, n2)
+            v = rng.randrange(1, n)
+            assert paillier.principal_root(sk, v) == textbook_root(p, q, v)
+            assert signature.sign_raw(sk, w) == signature.Signature(s1, s2)
+            wide = rng.randrange(1, n) * n + rng.randrange(n)
+            ct = trapdoor.tp_encrypt(pk, wide)
+            low, high = textbook_split(p, q, g, ct.value)
+            assert trapdoor.tp_decrypt(sk, ct) == high * n + low == wide
+
+
+def test_derived_fields_stay_out_of_repr_and_equality():
+    sk = paillier.keygen(64, rng=random.Random(3))
+    assert repr(sk) == f"<PrivateKey for {sk.public!r}>"
+    derived = [f for f in dataclasses.fields(sk) if not f.init]
+    assert [f.name for f in derived] == [
+        "p_squared", "q_squared", "h_p", "h_q", "p_inv", "d_p", "d_q",
+    ]
+    assert not any(f.repr or f.compare for f in derived)

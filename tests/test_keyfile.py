@@ -91,6 +91,44 @@ def test_private_key_revalidated_on_parse():
         keyfile.parse_key(_private_body(21, 16, 3, 5, 4, 4))
 
 
+def test_private_key_degenerate_fields_rejected():
+    # p = q = 1, p = 1, p = q, a composite factor, g >= n^2, g no residue base
+    for fields in (
+        (1, 2, 1, 1, 0, 0),
+        (15, 16, 1, 15, 0, 4),
+        (9, 10, 3, 3, 2, 1),
+        (45, 46, 9, 5, 8, 4),
+        (15, 241, 3, 5, 4, 4),
+        (15, 7, 3, 5, 4, 4),
+    ):
+        with pytest.raises(ParseError):
+            keyfile.parse_key(_private_body(*fields))
+
+
+# serialize_key output of seeded keys, pinned so the format stays bit-exact
+SEEDED_PRIVATE = {
+    paillier.BaseStrategy.SAFE_DEFAULT: (
+        b"paillier-private-v1\n"
+        b"AAAAEHsNZMYs9i7XHhXxVfybNkUAAAAQew1kxiz2LtceFfFV/Js2RgAAAAiiV5if\n"
+        b"74KciQAAAAjCCw6+N4x03QAAABAew1kxiz2LtW5s0n31Ywk4AAAAED9P8O1xwhVe\n"
+        b"IDr6sR5BOPc=\n"
+    ),
+    paillier.BaseStrategy.RANDOM: (
+        b"paillier-private-v1\n"
+        b"AAAAEHsNZMYs9i7XHhXxVfybNkUAAAAgGvQY4k0QDY/a8BBboGwFocdqv0NvqE3K\n"
+        b"rArk4vcptMkAAAAIoleYn++CnIkAAAAIwgsOvjeMdN0AAAAQHsNZMYs9i7VubNJ9\n"
+        b"9WMJOAAAABAQ61cickxW9RsL3cKcsRQI\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("strategy", list(paillier.BaseStrategy), ids=str)
+def test_seeded_private_key_serialization_pinned(strategy):
+    sk = paillier.keygen(64, strategy, random.Random(3))
+    assert keyfile.serialize_key(sk) == SEEDED_PRIVATE[strategy]
+    assert keyfile.parse_key(SEEDED_PRIVATE[strategy]) == sk
+
+
 def test_signature_envelope_roundtrip():
     sig = Signature(s1=7, s2=2)
     data = keyfile.serialize_signature(sig)

@@ -27,7 +27,6 @@ from .paillier import (
     rerandomize,
     scalar_mul,
     split_residue,
-    validate_residue_base,
 )
 from .signature import Signature, blind, sign, sign_raw, unblind, verify, verify_message
 from .threepass import (
@@ -74,7 +73,6 @@ __all__ = [
     "tp_decrypt",
     "tp_encrypt",
     "unblind",
-    "validate_residue_base",
     "verify",
     "verify_message",
 ]

@@ -10,11 +10,13 @@ Exit codes: 0 success, 1 usage, 2 crypto/protocol error.
 """
 
 import argparse
+import math
 import os
 import random
 import sys
 
 from . import keyfile, net, numtheory as nt, paillier, signature, threepass, trapdoor
+from .encoding import int_to_bytes
 from .errors import P3PError
 
 USAGE_EXIT = 1
@@ -61,57 +63,78 @@ def _parse_int_arg(text: str, what: str) -> int:
     return value
 
 
-def _message_arg(args, what: str = "message") -> int:
-    raw = getattr(args, what.replace("-", "_"))
-    if getattr(args, "text", False):
-        data = raw.encode("utf-8")
-        return int.from_bytes(data, "big")
-    return _parse_int_arg(raw, what)
+def _message_arg(args, pk: paillier.PublicKey) -> int:
+    """--message as a residue: hex, or UTF-8 text that must fit below n."""
+    if not args.text:
+        return _parse_int_arg(args.message, "message")
+    value = int.from_bytes(args.message.encode("utf-8"), "big")
+    if value >= pk.n:
+        raise P3PError("encoded text does not fit below the modulus")
+    return value
+
+
+def _message_bytes(args) -> bytes:
+    """--message as bytes to hash: UTF-8 text, or hex (an odd digit count
+    gets a leading zero)."""
+    if args.text:
+        return args.message.encode("utf-8")
+    try:
+        return bytes.fromhex("0" * (len(args.message) % 2) + args.message)
+    except ValueError:
+        raise _UsageError(f"message must be hexadecimal, got {args.message!r}") from None
+
+
+def _ciphertext_arg(args, sk: paillier.PrivateKey) -> paillier.Ciphertext:
+    return paillier.Ciphertext(
+        _parse_int_arg(args.ciphertext, "ciphertext"), sk.public.fingerprint
+    )
 
 
 def _int_out(args, value: int) -> str:
-    if getattr(args, "text", False):
-        data = value.to_bytes((value.bit_length() + 7) // 8, "big")
+    if args.text:
         try:
-            return data.decode("utf-8")
+            return int_to_bytes(value).decode("utf-8")
         except UnicodeDecodeError:
             raise P3PError("recovered bytes are not valid UTF-8") from None
     return format(value, "x")
 
 
-def _load_key(path: str) -> paillier.PublicKey | paillier.PrivateKey:
+def _read(path: str) -> bytes:
     try:
-        data = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            return fh.read()
     except OSError as exc:
         raise P3PError(f"cannot read {path}: {exc}") from None
-    return keyfile.parse_key(data)
 
 
 def _load_public(path: str) -> paillier.PublicKey:
-    key = _load_key(path)
+    key = keyfile.parse_key(_read(path))
     return key.public if isinstance(key, paillier.PrivateKey) else key
 
 
 def _load_private(path: str) -> paillier.PrivateKey:
-    key = _load_key(path)
+    key = keyfile.parse_key(_read(path))
     if not isinstance(key, paillier.PrivateKey):
         raise P3PError(f"{path} holds a public key; a private key is needed")
     return key
 
 
 def _write(path: str, data: bytes, private: bool = False) -> None:
-    with open(path, "wb") as fh:
+    # Private files are created 0600; chmod narrows one that already existed.
+    mode = 0o600 if private else 0o666
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags, mode)) as fh:
+        if private:
+            try:
+                os.chmod(path, 0o600)
+            except OSError:
+                pass  # not every platform supports permission bits
         fh.write(data)
-    if private:
-        try:
-            os.chmod(path, 0o600)
-        except OSError:
-            pass  # not every platform supports permission bits
 
 
-def _check_fits(pk: paillier.PublicKey, value: int, what: str) -> None:
-    if value >= pk.n:
-        raise P3PError(f"{what} does not fit below the modulus")
+def _write_signature(path: str, sig: signature.Signature) -> int:
+    _write(path, keyfile.serialize_signature(sig))
+    print(f"wrote {path}")
+    return 0
 
 
 def _cmd_keygen(args) -> int:
@@ -131,19 +154,14 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_encrypt(args) -> int:
     pk = _load_public(args.key)
-    m = _message_arg(args)
-    if getattr(args, "text", False):
-        _check_fits(pk, m, "encoded text")
+    m = _message_arg(args, pk)
     print(format(paillier.encrypt(pk, m, _seed_rng(args)).value, "x"))
     return 0
 
 
 def _cmd_decrypt(args) -> int:
     sk = _load_private(args.key)
-    c = paillier.Ciphertext(
-        _parse_int_arg(args.ciphertext, "ciphertext"), sk.public.fingerprint
-    )
-    print(_int_out(args, paillier.decrypt(sk, c)))
+    print(_int_out(args, paillier.decrypt(sk, _ciphertext_arg(args, sk))))
     return 0
 
 
@@ -155,60 +173,28 @@ def _cmd_tp_encrypt(args) -> int:
 
 def _cmd_tp_decrypt(args) -> int:
     sk = _load_private(args.key)
-    c = paillier.Ciphertext(
-        _parse_int_arg(args.ciphertext, "ciphertext"), sk.public.fingerprint
-    )
-    print(format(trapdoor.tp_decrypt(sk, c), "x"))
+    print(format(trapdoor.tp_decrypt(sk, _ciphertext_arg(args, sk)), "x"))
     return 0
 
 
 def _cmd_sign(args) -> int:
     sk = _load_private(args.key)
-    if args.text:
-        message = args.message.encode("utf-8")
-    else:
-        hex_text = args.message
-        if len(hex_text) % 2:
-            hex_text = "0" + hex_text
-        try:
-            message = bytes.fromhex(hex_text)
-        except ValueError:
-            raise _UsageError(f"message must be hexadecimal, got {args.message!r}") from None
-    sig = signature.sign(sk, message)
-    _write(args.out, keyfile.serialize_signature(sig))
-    print(f"wrote {args.out}")
-    return 0
+    return _write_signature(args.out, signature.sign(sk, _message_bytes(args)))
 
 
 def _cmd_verify(args) -> int:
     pk = _load_public(args.key)
-    if args.text:
-        message = args.message.encode("utf-8")
-    else:
-        hex_text = args.message
-        if len(hex_text) % 2:
-            hex_text = "0" + hex_text
-        try:
-            message = bytes.fromhex(hex_text)
-        except ValueError:
-            raise _UsageError(f"message must be hexadecimal, got {args.message!r}") from None
-    try:
-        sig = keyfile.parse_signature(open(args.sig, "rb").read())
-    except OSError as exc:
-        raise P3PError(f"cannot read {args.sig}: {exc}") from None
-    if signature.verify_message(pk, message, sig):
-        print("valid")
-        return 0
-    print("invalid")
-    return ERROR_EXIT
+    message = _message_bytes(args)
+    sig = keyfile.parse_signature(_read(args.sig))
+    valid = signature.verify_message(pk, message, sig)
+    print("valid" if valid else "invalid")
+    return 0 if valid else ERROR_EXIT
 
 
 def _cmd_sign_raw(args) -> int:
     sk = _load_private(args.key)
-    sig = signature.sign_raw(sk, _parse_int_arg(args.message, "message"))
-    _write(args.out, keyfile.serialize_signature(sig))
-    print(f"wrote {args.out}")
-    return 0
+    m = _parse_int_arg(args.message, "message")
+    return _write_signature(args.out, signature.sign_raw(sk, m))
 
 
 def _cmd_blind(args) -> int:
@@ -223,28 +209,13 @@ def _cmd_blind(args) -> int:
 
 def _cmd_unblind(args) -> int:
     pk = _load_public(args.key)
-    try:
-        sig = keyfile.parse_signature(open(args.sig, "rb").read())
-        secret = keyfile.parse_blinding_secret(open(args.secret, "rb").read(), pk.n)
-    except OSError as exc:
-        raise P3PError(f"cannot read input: {exc}") from None
-    _write(args.out, keyfile.serialize_signature(signature.unblind(sig, secret, pk.n)))
-    print(f"wrote {args.out}")
-    return 0
+    sig = keyfile.parse_signature(_read(args.sig))
+    secret = keyfile.parse_blinding_secret(_read(args.secret), pk.n)
+    return _write_signature(args.out, signature.unblind(sig, secret, pk.n))
 
 
 def _cmd_listen(args) -> int:
     seed = _seed_value(args)
-
-    def rng_factory(index: int):
-        return random.Random(seed + index) if seed is not None else None
-
-    def on_listening(port: int) -> None:
-        print(f"listening {args.host}:{port}", flush=True)
-
-    def on_outcome(outcome: net.ResponderOutcome) -> None:
-        print(f"recovered {_int_out(args, outcome.recovered)}", flush=True)
-
     net.serve_three_pass(
         port=args.port,
         host=args.host,
@@ -252,9 +223,11 @@ def _cmd_listen(args) -> int:
         parallel=args.parallel,
         hardened=not args.plain,
         timeout=args.timeout,
-        rng_factory=rng_factory,
-        on_listening=on_listening,
-        on_outcome=on_outcome,
+        rng_factory=None if seed is None else lambda index: random.Random(seed + index),
+        on_listening=lambda port: print(f"listening {args.host}:{port}", flush=True),
+        on_outcome=lambda outcome: print(
+            f"recovered {_int_out(args, outcome.recovered)}", flush=True
+        ),
     )
     return 0
 
@@ -268,10 +241,7 @@ def _cmd_send(args) -> int:
     except ValueError:
         raise _UsageError(f"port must be an integer, got {port_text!r}") from None
     sk = _load_private(args.key)
-    m = _message_arg(args)
-    if getattr(args, "text", False):
-        _check_fits(sk.public, m, "encoded text")
-    session = threepass.PaillierInitiatorSession(sk, m)
+    session = threepass.PaillierInitiatorSession(sk, _message_arg(args, sk.public))
     outcome = net.send_over_tcp(host, port, session, _seed_rng(args), args.timeout)
     print(f"pass1 {outcome.pass1:x}")
     print(f"pass2 {outcome.pass2:x}")
@@ -285,12 +255,13 @@ def _cmd_shamir_demo(args) -> int:
     def party(forced_e):
         if forced_e is None:
             return threepass.shamir_keygen(args.prime, rng)
-        if nt.gcd(forced_e, args.prime - 1) != 1:
+        if math.gcd(forced_e, args.prime - 1) != 1:
             raise _UsageError(f"exponent {forced_e} shares a factor with p-1")
         return threepass.ShamirParty(
             prime=args.prime, e=forced_e, d=nt.mod_inv(forced_e, args.prime - 1)
         )
 
+    # shamir_keygen checks the prime as well, but forced exponents skip it.
     if not nt.is_probable_prime(args.prime, nt.DEFAULT_MR_ROUNDS):
         raise P3PError(f"{args.prime} is not prime")
     transcript = threepass.shamir_exchange(
@@ -303,110 +274,70 @@ def _cmd_shamir_demo(args) -> int:
     return 0
 
 
-def _add_seed(p) -> None:
-    p.add_argument("--seed", type=int, default=None, help="deterministic randomness")
+# Options shared by several subcommands, each defined once.
+_SHARED = dict.fromkeys(
+    ["--key", "--message", "--ciphertext", "--out", "--sig", "--secret", "--secret-out"],
+    {"required": True},
+) | {
+    "--text": {"action": "store_true", "help": "treat message as UTF-8 text"},
+    "--seed": {"type": int, "default": None, "help": "deterministic randomness"},
+    "--timeout": {"type": float, "default": net.DEFAULT_TIMEOUT},
+}
 
-
-def _add_text(p) -> None:
-    p.add_argument("--text", action="store_true", help="treat message as UTF-8 text")
+# (name, help, handler, options); an option is a shared flag or (flag, kwargs).
+_COMMANDS = (
+    ("keygen", "generate a keypair into PREFIX.pub/.key", _cmd_keygen, [
+        ("--bits", {"type": int, "default": 2048, "help": "modulus size (default 2048)"}),
+        ("--out", {"required": True, "metavar": "PREFIX"}),
+        ("--base", {"choices": ["default", "random"], "default": "default"}),
+        "--seed",
+    ]),
+    ("encrypt", "encrypt a message", _cmd_encrypt,
+     ["--key", "--message", "--text", "--seed"]),
+    ("decrypt", "decrypt a ciphertext", _cmd_decrypt, ["--key", "--ciphertext", "--text"]),
+    ("tp-encrypt", "deterministic wide-message encryption", _cmd_tp_encrypt,
+     ["--key", "--message"]),
+    ("tp-decrypt", "invert tp-encrypt", _cmd_tp_decrypt, ["--key", "--ciphertext"]),
+    ("sign", "hash and sign a message", _cmd_sign, ["--key", "--message", "--out", "--text"]),
+    ("verify", "verify a signature file", _cmd_verify,
+     ["--key", "--message", "--sig", "--text"]),
+    ("sign-raw", "sign a residue without hashing", _cmd_sign_raw,
+     ["--key", "--message", "--out"]),
+    ("blind", "blind a residue for remote signing", _cmd_blind,
+     ["--key", "--message", "--secret-out", "--seed"]),
+    ("unblind", "turn a blinded signature into a real one", _cmd_unblind,
+     ["--key", "--sig", "--secret", "--out"]),
+    ("3pass-listen", "run the responder on a TCP port", _cmd_listen, [
+        ("--port", {"type": int, "required": True, "help": "0 picks a free port"}),
+        ("--host", {"default": "127.0.0.1"}),
+        ("--plain", {"action": "store_true", "help": "disable hardened blinding"}),
+        ("--count", {"type": int, "default": 1, "help": "sessions to serve"}),
+        ("--parallel", {"action": "store_true"}),
+        "--timeout", "--text", "--seed",
+    ]),
+    ("3pass-send", "send a message to a listening responder", _cmd_send, [
+        ("--addr", {"required": True, "metavar": "HOST:PORT"}),
+        "--key", "--message", "--timeout", "--text", "--seed",
+    ]),
+    ("shamir-demo", "run the exponentiation variant locally", _cmd_shamir_demo, [
+        ("--prime", {"type": int, "required": True}),
+        ("--message", {"type": int, "required": True}),
+        ("--exp-a", {"type": int, "default": None, "help": "force A's exponent"}),
+        ("--exp-b", {"type": int, "default": None, "help": "force B's exponent"}),
+        "--seed",
+    ]),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="p3p", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("keygen", help="generate a keypair into PREFIX.pub/.key")
-    p.add_argument("--bits", type=int, default=2048, help="modulus size (default 2048)")
-    p.add_argument("--out", required=True, metavar="PREFIX")
-    p.add_argument("--base", choices=["default", "random"], default="default")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_keygen)
-
-    p = sub.add_parser("encrypt", help="encrypt a message")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    _add_text(p)
-    _add_seed(p)
-    p.set_defaults(func=_cmd_encrypt)
-
-    p = sub.add_parser("decrypt", help="decrypt a ciphertext")
-    p.add_argument("--key", required=True)
-    p.add_argument("--ciphertext", required=True)
-    _add_text(p)
-    p.set_defaults(func=_cmd_decrypt)
-
-    p = sub.add_parser("tp-encrypt", help="deterministic wide-message encryption")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    p.set_defaults(func=_cmd_tp_encrypt)
-
-    p = sub.add_parser("tp-decrypt", help="invert tp-encrypt")
-    p.add_argument("--key", required=True)
-    p.add_argument("--ciphertext", required=True)
-    p.set_defaults(func=_cmd_tp_decrypt)
-
-    p = sub.add_parser("sign", help="hash and sign a message")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--out", required=True)
-    _add_text(p)
-    p.set_defaults(func=_cmd_sign)
-
-    p = sub.add_parser("verify", help="verify a signature file")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--sig", required=True)
-    _add_text(p)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("sign-raw", help="sign a residue without hashing")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sign_raw)
-
-    p = sub.add_parser("blind", help="blind a residue for remote signing")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--secret-out", required=True)
-    _add_seed(p)
-    p.set_defaults(func=_cmd_blind)
-
-    p = sub.add_parser("unblind", help="turn a blinded signature into a real one")
-    p.add_argument("--key", required=True)
-    p.add_argument("--sig", required=True)
-    p.add_argument("--secret", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_unblind)
-
-    p = sub.add_parser("3pass-listen", help="run the responder on a TCP port")
-    p.add_argument("--port", type=int, required=True, help="0 picks a free port")
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--plain", action="store_true", help="disable hardened blinding")
-    p.add_argument("--count", type=int, default=1, help="sessions to serve")
-    p.add_argument("--parallel", action="store_true")
-    p.add_argument("--timeout", type=float, default=net.DEFAULT_TIMEOUT)
-    _add_text(p)
-    _add_seed(p)
-    p.set_defaults(func=_cmd_listen)
-
-    p = sub.add_parser("3pass-send", help="send a message to a listening responder")
-    p.add_argument("--addr", required=True, metavar="HOST:PORT")
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", required=True)
-    p.add_argument("--timeout", type=float, default=net.DEFAULT_TIMEOUT)
-    _add_text(p)
-    _add_seed(p)
-    p.set_defaults(func=_cmd_send)
-
-    p = sub.add_parser("shamir-demo", help="run the exponentiation variant locally")
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--message", type=int, required=True)
-    p.add_argument("--exp-a", type=int, default=None, help="force A's exponent")
-    p.add_argument("--exp-b", type=int, default=None, help="force B's exponent")
-    _add_seed(p)
-    p.set_defaults(func=_cmd_shamir_demo)
-
+    for name, help_text, handler, options in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            flag, kwargs = (option, _SHARED[option]) if isinstance(option, str) else option
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=handler)
     return parser
 
 

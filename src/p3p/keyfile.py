@@ -9,6 +9,7 @@ defining relations before being accepted.
 
 import base64
 import binascii
+import math
 
 from . import numtheory as nt
 from .encoding import decode_uint, encode_uint
@@ -82,10 +83,10 @@ def parse_key(data: bytes) -> PublicKey | PrivateKey:
             raise ParseError("field mismatch: n is not p*q", offset=0)
         if min(p, q) < 2:
             raise ParseError(f"factor {min(p, q)} is too small", offset=0)
-        if lam != nt.lcm(p - 1, q - 1):
+        if lam != math.lcm(p - 1, q - 1):
             raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
         n_squared = n * n
-        if not 0 < g < n_squared or nt.gcd(g, n_squared) != 1:
+        if not 0 < g < n_squared or math.gcd(g, n_squared) != 1:
             raise ParseError("residue base is not a unit modulo n^2", offset=0)
         try:
             key = derive_key(p, q, g)
@@ -119,6 +120,6 @@ def parse_blinding_secret(data: bytes, n: int) -> BlindingSecret:
     if header != BLINDING_HEADER:
         raise ParseError(f"unknown header {header!r}", offset=0)
     (x,) = _decode_fields(body, 1)
-    if nt.gcd(x, n) != 1:
+    if math.gcd(x, n) != 1:
         raise ParseError("blinding value is not a unit for this modulus", offset=0)
     return BlindingSecret(x=x, x_inv=nt.mod_inv(x, n))

@@ -11,6 +11,7 @@ frame, close, and raise ProtocolError; a silent peer raises
 ProtocolTimeout after the channel's timeout.
 """
 
+import math
 import queue
 import socket
 import threading
@@ -211,7 +212,7 @@ def run_responder(
         n, g = parse_key_announce(announce)
     except ParseError as exc:
         raise _abort(channel, f"bad key announce: {exc}") from exc
-    if n < 2 or nt.gcd(g, n * n) != 1:
+    if n < 2 or math.gcd(g, n * n) != 1:
         raise _abort(channel, "announced key is unusable")
     pk = PublicKey(n=n, g=g)
     session = PaillierResponderSession(pk, hardened=hardened)
@@ -274,7 +275,9 @@ def serve_three_pass(
     thread (sessions stay fully independent -- no state is shared).
     ``rng_factory`` maps the 0-based session index to a RandomSource, which
     keeps seeded runs deterministic per session. ``on_outcome`` runs once
-    per completed session, never for two sessions at once.
+    per completed session, never for two sessions at once. A failed
+    session does not stop the others: after all ``sessions`` have run, the
+    first failure is raised.
     """
     outcomes: list[ResponderOutcome] = []
     failures: list[Exception] = []
@@ -312,8 +315,6 @@ def serve_three_pass(
                 workers.append(worker)
             else:
                 handle(conn, index)
-                if failures:
-                    raise failures[0]
         for worker in workers:
             worker.join()
     if failures:

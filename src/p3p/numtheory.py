@@ -40,13 +40,6 @@ def _rng(rng: RandomSource | None) -> RandomSource:
     return _SYSTEM if rng is None else rng
 
 
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus for exp >= 0."""
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
-    return pow(base, exp, modulus)
-
-
 def mod_inv(a: int, modulus: int) -> int:
     """Multiplicative inverse of a modulo modulus."""
     if modulus < 2:
@@ -55,16 +48,6 @@ def mod_inv(a: int, modulus: int) -> int:
         return pow(a, -1, modulus)
     except ValueError:
         raise NotInvertible(f"{a} has no inverse modulo {modulus}") from None
-
-
-def gcd(a: int, b: int) -> int:
-    return math.gcd(a, b)
-
-
-def lcm(a: int, b: int) -> int:
-    if a == 0 and b == 0:
-        raise DomainError("lcm(0, 0) is undefined")
-    return math.lcm(a, b)
 
 
 def l_function(u: int, n: int) -> int:

@@ -11,6 +11,7 @@ ciphertexts are immutable; every operation is pure.
 
 import enum
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
@@ -121,14 +122,6 @@ class Ciphertext:
     key_fingerprint: bytes = field(repr=False)
 
 
-def validate_residue_base(g: int, n: int, lam: int) -> bool:
-    """True iff g generates residue classes: gcd(L(g^lam mod n^2), n) = 1."""
-    n_squared = n * n
-    if not 0 < g < n_squared or nt.gcd(g, n_squared) != 1:
-        raise DomainError("base is not a unit modulo n^2")
-    return nt.gcd(nt.l_function(pow(g, lam, n_squared), n), n) == 1
-
-
 def _crt(p: int, q: int, p_inv: int, r_p: int, r_q: int) -> int:
     """The value below p*q that is r_p mod p and r_q mod q."""
     return r_p + p * ((r_q - r_p) * p_inv % q)
@@ -144,9 +137,9 @@ def derive_key(p: int, q: int, g: int) -> PrivateKey:
     """
     n = p * q
     n_squared = n * n
-    if not 0 < g < n_squared or nt.gcd(g, n_squared) != 1:
+    if not 0 < g < n_squared or math.gcd(g, n_squared) != 1:
         raise DomainError("base is not a unit modulo n^2")
-    lam = nt.lcm(p - 1, q - 1)
+    lam = math.lcm(p - 1, q - 1)
     mu_parts = []
     for prime, other in ((p, q), (q, p)):
         l_value = nt.l_function(pow(g, prime - 1, prime * prime), prime)
@@ -173,13 +166,12 @@ def keygen(
     """
     if bits < 4:
         raise DomainError("need at least 4 bits per prime")
-    rng = rng if rng is not None else nt.system_random()
     while True:
         p = nt.gen_prime(bits, rng)
         q = nt.gen_prime(bits, rng)
         if p == q:
             continue
-        if nt.gcd(p * q, nt.lcm(p - 1, q - 1)) != 1:
+        if math.gcd(p * q, math.lcm(p - 1, q - 1)) != 1:
             continue
         break
     n = p * q
@@ -205,9 +197,9 @@ def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
         if not nt.is_probable_prime(candidate, nt.DEFAULT_MR_ROUNDS):
             raise DomainError(f"{candidate} is not prime")
     n = p * q
-    lam = nt.lcm(p - 1, q - 1)
-    if nt.gcd(n, lam) != 1:
-        raise DomainError(f"gcd(n, lambda) = {nt.gcd(n, lam)} != 1; key unusable")
+    lam = math.lcm(p - 1, q - 1)
+    if math.gcd(n, lam) != 1:
+        raise DomainError(f"gcd(n, lambda) = {math.gcd(n, lam)} != 1; key unusable")
     return derive_key(p, q, n + 1 if g is None else g)
 
 
@@ -229,8 +221,13 @@ def _pow_g(pk: PublicKey, exp: int) -> int:
     return pow(pk.g, exp, pk.n_squared)
 
 
-def _raw_encrypt(pk: PublicKey, m: int, x: int) -> int:
-    return _pow_g(pk, m) * pow(x, pk.n, pk.n_squared) % pk.n_squared
+def _raw_encrypt(pk: PublicKey, s1: int, s2: int) -> int:
+    """g^s1 * s2^n mod n^2, the map that split_residue inverts.
+
+    Encryption (s1 = m, s2 = x), the trapdoor permutation (the n-adic
+    digits of a wide message) and signature verification all evaluate it.
+    """
+    return _pow_g(pk, s1) * pow(s2, pk.n, pk.n_squared) % pk.n_squared
 
 
 def encrypt(
@@ -245,13 +242,13 @@ def encrypt(
 def encrypt_with_nonce(pk: PublicKey, m: int, x: int) -> Ciphertext:
     """Deterministic form of encrypt with the unit x supplied by the caller."""
     _check_plaintext(pk, m)
-    if x < 1 or nt.gcd(x, pk.n) != 1:
+    if x < 1 or math.gcd(x, pk.n) != 1:
         raise NotInvertible(f"nonce {x} is not a unit modulo {pk.n}")
     return Ciphertext(_raw_encrypt(pk, m, x), pk.fingerprint)
 
 
 def _check_ciphertext_value(pk: PublicKey, value: int) -> None:
-    if not 0 < value < pk.n_squared or nt.gcd(value, pk.n_squared) != 1:
+    if not 0 < value < pk.n_squared or math.gcd(value, pk.n_squared) != 1:
         raise MalformedCiphertext(f"{value} is not a unit modulo n^2")
 
 
@@ -279,11 +276,11 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
     """Residue class of w relative to ``base``: the unique exponent in
     w = base^class * (n-th power of a unit)."""
     pk = sk.public
-    if not 0 < w < pk.n_squared or nt.gcd(w, pk.n_squared) != 1:
+    if not 0 < w < pk.n_squared or math.gcd(w, pk.n_squared) != 1:
         raise DomainError(f"{w} is not a unit modulo n^2")
     if base == pk.g:
         return _class(sk, w)
-    if not 0 < base < pk.n_squared or nt.gcd(base, pk.n_squared) != 1:
+    if not 0 < base < pk.n_squared or math.gcd(base, pk.n_squared) != 1:
         raise DomainError("base is not a unit modulo n^2")
     # change of base: class_base(w) = class_g(w) / class_g(base)
     try:

@@ -8,11 +8,12 @@ blindness here covers the residue part only, not the class.
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
 from .errors import DomainError, InternalError, NotSignable
-from .paillier import PrivateKey, PublicKey, _pow_g, split_residue
+from .paillier import PrivateKey, PublicKey, _raw_encrypt, split_residue
 
 _HASH_ATTEMPTS = 256
 
@@ -36,7 +37,7 @@ class BlindingSecret:
 
 
 def _check_signable(pk: PublicKey, m: int) -> None:
-    if not 0 < m < pk.n_squared or nt.gcd(m, pk.n_squared) != 1:
+    if not 0 < m < pk.n_squared or math.gcd(m, pk.n_squared) != 1:
         raise NotSignable("message must be a unit modulo n^2")
 
 
@@ -54,7 +55,7 @@ def verify(pk: PublicKey, m: int, sig: Signature) -> bool:
         return False
     if not 0 < m < pk.n_squared:
         return False
-    return _pow_g(pk, sig.s1) * pow(sig.s2, pk.n, pk.n_squared) % pk.n_squared == m
+    return _raw_encrypt(pk, sig.s1, sig.s2) == m
 
 
 def hash_to_signable(pk: PublicKey, message: bytes, hash_id: str = "sha256") -> int:
@@ -81,7 +82,7 @@ def hash_to_signable(pk: PublicKey, message: bytes, hash_id: str = "sha256") -> 
             buf.extend(h.digest())
             block += 1
         candidate = int.from_bytes(buf[:target_bytes], "big") % pk.n_squared
-        if candidate != 0 and nt.gcd(candidate, pk.n_squared) == 1:
+        if candidate != 0 and math.gcd(candidate, pk.n_squared) == 1:
             return candidate
     raise InternalError(f"no signable digest in {_HASH_ATTEMPTS} attempts")
 

@@ -13,6 +13,7 @@ is the natural misuse; every violation raises instead of desynchronizing.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 from . import numtheory as nt
@@ -73,7 +74,7 @@ class PaillierInitiatorSession:
             raise ProtocolOrderViolation(
                 f"initiator is {self.state.value}, step needs sent-m1"
             )
-        if not 0 < second_pass < pk.n_squared or nt.gcd(second_pass, pk.n_squared) != 1:
+        if not 0 < second_pass < pk.n_squared or math.gcd(second_pass, pk.n_squared) != 1:
             raise MalformedMessage("second pass is not a unit modulo n^2")
         self.state = InitiatorState.SENT_M3
         return decrypt(self.sk, Ciphertext(second_pass, pk.fingerprint))
@@ -107,7 +108,7 @@ class PaillierResponderSession:
                 f"responder is {self.state.value}, step needs created"
             )
         pk = self.pk
-        if not 0 < first_pass < pk.n_squared or nt.gcd(first_pass, pk.n_squared) != 1:
+        if not 0 < first_pass < pk.n_squared or math.gcd(first_pass, pk.n_squared) != 1:
             raise MalformedMessage("first pass is not a unit modulo n^2")
         if self.hardened:
             self._x = nt.random_unit(pk.n, rng)
@@ -158,7 +159,7 @@ def shamir_keygen(prime: int, rng: nt.RandomSource | None = None) -> ShamirParty
     rng = rng if rng is not None else nt.system_random()
     while True:
         e = rng.randrange(1, prime - 1)
-        if nt.gcd(e, prime - 1) == 1:
+        if math.gcd(e, prime - 1) == 1:
             break
     return ShamirParty(prime=prime, e=e, d=nt.mod_inv(e, prime - 1))
 

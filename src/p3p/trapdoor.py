@@ -8,11 +8,12 @@ silently producing garbage. Being deterministic, this variant is not
 semantically secure -- it trades randomness for a halved expansion factor.
 """
 
+import math
 from dataclasses import dataclass
 
-from . import numtheory as nt
-from .errors import DomainError, InadmissibleMessage, KeyMismatch, MalformedCiphertext
-from .paillier import Ciphertext, PrivateKey, PublicKey, _pow_g, split_residue
+from .errors import DomainError, InadmissibleMessage, MalformedCiphertext
+from .paillier import Ciphertext, PrivateKey, PublicKey, _raw_encrypt, split_residue
+from .paillier import _check_ciphertext_value, _check_key
 
 REASON_ZERO_QUOTIENT = "zero-quotient"
 REASON_NOT_COPRIME = "quotient-not-coprime"
@@ -39,7 +40,7 @@ def decompose(m: int, n: int) -> WideMessage:
     high, low = divmod(m, n)
     if high == 0:
         reason = REASON_ZERO_QUOTIENT
-    elif nt.gcd(high, n) != 1:
+    elif math.gcd(high, n) != 1:
         reason = REASON_NOT_COPRIME
     else:
         reason = None
@@ -59,20 +60,17 @@ def tp_encrypt(pk: PublicKey, m: int) -> Ciphertext:
             f"n-adic quotient {wide.high} shares a factor with n",
             REASON_NOT_COPRIME,
         )
-    value = _pow_g(pk, wide.low) * pow(wide.high, pk.n, pk.n_squared) % pk.n_squared
-    return Ciphertext(value, pk.fingerprint)
+    return Ciphertext(_raw_encrypt(pk, wide.low, wide.high), pk.fingerprint)
 
 
 def tp_decrypt(sk: PrivateKey, c: Ciphertext) -> int:
     """Invert tp_encrypt: class gives the low digit, the residue's principal
     root gives the high digit."""
     pk = sk.public
-    if c.key_fingerprint != pk.fingerprint:
-        raise KeyMismatch("ciphertext was created under a different key")
-    if not 0 < c.value < pk.n_squared or nt.gcd(c.value, pk.n_squared) != 1:
-        raise MalformedCiphertext(f"{c.value} is not a unit modulo n^2")
+    _check_key(pk, c)
+    _check_ciphertext_value(pk, c.value)
     low, high = split_residue(sk, c.value)
-    if high == 0 or nt.gcd(high, pk.n) != 1:
+    if high == 0 or math.gcd(high, pk.n) != 1:
         raise MalformedCiphertext(
             f"recovered quotient {high} is outside the admissible domain"
         )

@@ -8,13 +8,6 @@ implementation under test.
 import math
 
 
-def naive_mod_pow(base, exp, modulus):
-    result = 1 % modulus
-    for _ in range(exp):
-        result = result * base % modulus
-    return result
-
-
 def egcd(a, b):
     if b == 0:
         return a, 1, 0
@@ -80,3 +73,14 @@ def textbook_split(p, q, g, w):
     n = p * q
     s1 = textbook_class(p, q, g, w)
     return s1, textbook_root(p, q, w * egcd_inverse(pow(g, s1, n * n), n * n))
+
+
+def textbook_is_residue_base(p, q, g):
+    """Whether g generates the residue classes of n = p*q: g is a unit
+    modulo n^2 and L(g^lambda mod n^2) is a unit modulo n."""
+    n = p * q
+    n2 = n * n
+    if not 0 < g < n2 or math.gcd(g, n2) != 1:
+        return False
+    lam = (p - 1) * (q - 1) // egcd(p - 1, q - 1)[0]
+    return math.gcd((pow(g, lam, n2) - 1) // n, n) == 1

@@ -232,3 +232,40 @@ def test_parallel_sessions_are_independent():
     server.join()
     recovered = sorted(o.recovered for o in port_holder["outcomes"])
     assert recovered == [3, 8, 12]
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_serve_keeps_serving_after_a_failed_session(parallel):
+    listening = threading.Event()
+    port_holder = {}
+    result = {}
+    recovered = []
+
+    def on_listening(port):
+        port_holder["port"] = port
+        listening.set()
+
+    def server():
+        try:
+            result["outcomes"] = net.serve_three_pass(
+                port=0, sessions=2, parallel=parallel, timeout=10.0,
+                on_listening=on_listening,
+                on_outcome=lambda outcome: recovered.append(outcome.recovered),
+            )
+        except Exception as exc:
+            result["error"] = exc
+
+    worker = threading.Thread(target=server)
+    worker.start()
+    assert listening.wait(5.0)
+    with socket.create_connection(("127.0.0.1", port_holder["port"]), timeout=5.0) as bad:
+        bad.sendall(b"\x00" * 32)
+        bad.recv(1024)  # the responder's ERROR frame: that session is over
+    session = PaillierInitiatorSession(KEY15, 12)
+    net.send_over_tcp("127.0.0.1", port_holder["port"], session, timeout=10.0)
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert recovered == [12]
+    assert "outcomes" not in result
+    assert isinstance(result["error"], ProtocolError)
+    assert "bad key announce" in str(result["error"])

@@ -9,32 +9,7 @@ from p3p import numtheory as nt
 from p3p.errors import DomainError, NotInvertible
 
 from conftest import ScriptedRandom
-from oracles import egcd_inverse, naive_mod_pow, trial_division_is_prime
-
-
-def test_mod_pow_known_values():
-    assert nt.mod_pow(16, 4, 225) == 61
-    assert nt.mod_pow(2, 15, 225) == 143
-
-
-@pytest.mark.parametrize("base, modulus", [(0, 2), (5, 7), (123456789, 1000003)])
-def test_mod_pow_zero_exponent(base, modulus):
-    assert nt.mod_pow(base, 0, modulus) == 1
-
-
-def test_mod_pow_rejects_tiny_modulus():
-    with pytest.raises(DomainError):
-        nt.mod_pow(2, 3, 1)
-
-
-@given(
-    base=st.integers(min_value=0, max_value=2**32),
-    exp=st.integers(min_value=0, max_value=2**14),
-    modulus=st.integers(min_value=2, max_value=2**32),
-)
-@settings(max_examples=40, deadline=None)
-def test_mod_pow_matches_multiply_loop(base, exp, modulus):
-    assert nt.mod_pow(base, exp, modulus) == naive_mod_pow(base, exp, modulus)
+from oracles import egcd_inverse, trial_division_is_prime
 
 
 def test_mod_inv_known_values():
@@ -60,27 +35,6 @@ def test_mod_inv_matches_euclid_oracle(a, modulus):
         inv = nt.mod_inv(a, modulus)
         assert inv == egcd_inverse(a, modulus)
         assert a * inv % modulus == 1
-
-
-def test_gcd_lcm_known_values():
-    assert nt.gcd(10, 15) == 5
-    assert nt.gcd(0, 7) == 7
-    # the toy key's carmichael value: lcm(p-1, q-1) for p=3, q=5
-    assert nt.lcm(2, 4) == 4
-
-
-def test_lcm_edge_cases():
-    assert nt.lcm(0, 5) == 0
-    with pytest.raises(DomainError):
-        nt.lcm(0, 0)
-
-
-@given(
-    a=st.integers(min_value=1, max_value=10**12),
-    b=st.integers(min_value=1, max_value=10**12),
-)
-def test_lcm_gcd_product_law(a, b):
-    assert nt.lcm(a, b) * nt.gcd(a, b) == a * b
 
 
 def test_l_function_known_values():

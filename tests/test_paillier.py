@@ -14,7 +14,7 @@ from p3p.errors import (
 from p3p.paillier import BaseStrategy, Ciphertext, SelfBlindMode
 
 from conftest import KEY15, KEY35, ScriptedRandom
-from oracles import brute_force_class, units
+from oracles import brute_force_class, textbook_is_residue_base, units
 
 PK15 = KEY15.public
 PK35 = KEY35.public
@@ -42,7 +42,7 @@ def test_keygen_small_real_keys():
         assert sk.p != sk.q
         assert pk.n == sk.p * sk.q
         assert math.gcd(pk.n, sk.lam) == 1
-        assert paillier.validate_residue_base(pk.g, pk.n, sk.lam)
+        assert textbook_is_residue_base(sk.p, sk.q, pk.g)
         if strategy is BaseStrategy.SAFE_DEFAULT:
             assert pk.g == pk.n + 1
 
@@ -64,18 +64,23 @@ def test_from_primes_validation():
         paillier.from_primes(3, 5, g=7)  # fails the residue-base check
 
 
-def test_validate_residue_base_known_values():
-    assert paillier.validate_residue_base(16, 15, 4)
-    assert not paillier.validate_residue_base(7, 15, 4)
+def test_derive_key_accepts_exactly_the_textbook_residue_bases():
+    assert textbook_is_residue_base(3, 5, 16)
+    assert not textbook_is_residue_base(3, 5, 7)
     for key in (KEY15, KEY35):
-        assert paillier.validate_residue_base(key.public.n + 1, key.public.n, key.lam)
-
-
-def test_validate_residue_base_rejects_non_unit():
-    with pytest.raises(DomainError):
-        paillier.validate_residue_base(15, 15, 4)
-    with pytest.raises(DomainError):
-        paillier.validate_residue_base(0, 15, 4)
+        p, q, n_squared = key.p, key.q, key.public.n_squared
+        accepted = 0
+        for g in range(n_squared + 1):
+            try:
+                derived = paillier.derive_key(p, q, g)
+            except DomainError:
+                assert not textbook_is_residue_base(p, q, g), g
+                continue
+            assert textbook_is_residue_base(p, q, g), g
+            assert derived.public.g == g
+            accepted += 1
+        # phi(n)^2 of the units modulo n^2 are residue bases (64 and 576 here)
+        assert accepted == (p - 1) * (q - 1) * (p - 1) * (q - 1)
 
 
 def test_encrypt_forced_nonce_known_answer():
@@ -186,7 +191,7 @@ def test_extract_class_change_of_base_formula():
         bases = [
             g
             for g in units(pk.n_squared)
-            if paillier.validate_residue_base(g, pk.n, key.lam)
+            if textbook_is_residue_base(key.p, key.q, g)
         ]
         for _ in range(100):
             w = rng.choice(units(pk.n_squared))

@@ -64,9 +64,25 @@ def test_from_primes_validation():
         paillier.from_primes(3, 5, g=7)  # fails the residue-base check
 
 
-def test_derive_key_accepts_exactly_the_textbook_residue_bases():
+def test_validate_residue_base_known_values():
+    # The residue-base check lives in derive_key.
     assert textbook_is_residue_base(3, 5, 16)
+    assert paillier.derive_key(3, 5, 16) == KEY15
     assert not textbook_is_residue_base(3, 5, 7)
+    with pytest.raises(DomainError, match="not a residue base"):
+        paillier.derive_key(3, 5, 7)
+    for key in (KEY15, KEY35):
+        assert paillier.derive_key(key.p, key.q, key.public.n + 1) == key
+
+
+def test_validate_residue_base_rejects_non_unit():
+    with pytest.raises(DomainError, match="not a unit"):
+        paillier.derive_key(3, 5, 15)
+    with pytest.raises(DomainError, match="not a unit"):
+        paillier.derive_key(3, 5, 0)
+
+
+def test_derive_key_accepts_exactly_the_textbook_residue_bases():
     for key in (KEY15, KEY35):
         p, q, n_squared = key.p, key.q, key.public.n_squared
         accepted = 0

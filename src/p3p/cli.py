@@ -281,7 +281,11 @@ _SHARED = dict.fromkeys(
 ) | {
     "--text": {"action": "store_true", "help": "treat message as UTF-8 text"},
     "--seed": {"type": int, "default": None, "help": "deterministic randomness"},
-    "--timeout": {"type": float, "default": net.DEFAULT_TIMEOUT},
+    "--timeout": {
+        "type": float,
+        "default": net.DEFAULT_TIMEOUT,
+        "help": "seconds a whole three-pass session may take, once connected",
+    },
 }
 
 # (name, help, handler, options); an option is a shared flag or (flag, kwargs).

@@ -8,13 +8,16 @@ for transcript comparison.
 
 A malformed or unexpected frame makes the runner send a best-effort ERROR
 frame, close, and raise ProtocolError; a silent peer raises
-ProtocolTimeout after the channel's timeout.
+ProtocolTimeout after the channel's timeout. Over TCP that timeout is a
+deadline for the whole conversation, so a peer that sends slowly cannot
+hold a session open either.
 """
 
 import math
 import queue
 import socket
 import threading
+import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -45,13 +48,25 @@ DEFAULT_TIMEOUT = 30.0
 
 
 class SocketChannel:
-    """Frame transport over a connected TCP socket."""
+    """Frame transport over a connected TCP socket.
+
+    ``timeout`` seconds after construction the channel stops waiting:
+    every later send or receive raises ProtocolTimeout.
+    """
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
         self._sock = sock
-        sock.settimeout(timeout)
+        self._deadline = time.monotonic() + timeout
+
+    def _narrow_timeout(self) -> None:
+        """Let the next socket call wait only for what is left of the deadline."""
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise ProtocolTimeout("session deadline passed")
+        self._sock.settimeout(left)
 
     def send(self, frame: bytes) -> None:
+        self._narrow_timeout()
         try:
             self._sock.sendall(frame)
         except OSError as exc:
@@ -68,6 +83,7 @@ class SocketChannel:
         chunks = []
         remaining = count
         while remaining:
+            self._narrow_timeout()
             try:
                 chunk = self._sock.recv(remaining)
             except socket.timeout:
@@ -216,6 +232,7 @@ def run_responder(
         raise _abort(channel, "announced key is unusable")
     pk = PublicKey(n=n, g=g)
     session = PaillierResponderSession(pk, hardened=hardened)
+    session.choose_secret(rng)  # while the initiator encrypts pass 1
     pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value
     try:
         pass2 = session.step2_respond(pass1, rng)
@@ -277,7 +294,8 @@ def serve_three_pass(
     keeps seeded runs deterministic per session. ``on_outcome`` runs once
     per completed session, never for two sessions at once. A failed
     session does not stop the others: after all ``sessions`` have run, the
-    first failure is raised.
+    first failure is raised. ``timeout`` bounds each session from its
+    accept; waiting for a connection is not bounded.
     """
     outcomes: list[ResponderOutcome] = []
     failures: list[Exception] = []
@@ -300,23 +318,23 @@ def serve_three_pass(
                 on_outcome(outcome)
 
     with socket.create_server((host, port)) as server:
-        server.settimeout(timeout)
         if on_listening:
             on_listening(server.getsockname()[1])
         workers = []
-        for index in range(sessions):
-            try:
+        try:
+            for index in range(sessions):
                 conn, _ = server.accept()
-            except socket.timeout:
-                raise ProtocolTimeout("no connection before the timeout") from None
-            if parallel:
-                worker = threading.Thread(target=handle, args=(conn, index), daemon=True)
-                worker.start()
-                workers.append(worker)
-            else:
-                handle(conn, index)
-        for worker in workers:
-            worker.join()
+                if parallel:
+                    worker = threading.Thread(
+                        target=handle, args=(conn, index), daemon=True
+                    )
+                    worker.start()
+                    workers.append(worker)
+                else:
+                    handle(conn, index)
+        finally:
+            for worker in workers:
+                worker.join()
     if failures:
         raise failures[0]
     return outcomes

@@ -89,6 +89,8 @@ class PrivateKey:
     h_p: int = field(init=False, repr=False, compare=False)
     h_q: int = field(init=False, repr=False, compare=False)
     p_inv: int = field(init=False, repr=False, compare=False)  # p^-1 mod q
+    # p^-2 mod q^2, for recombining halves modulo p^2 and q^2
+    p_squared_inv: int = field(init=False, repr=False, compare=False)
     d_p: int = field(init=False, repr=False, compare=False)  # n^-1 mod (p-1)
     d_q: int = field(init=False, repr=False, compare=False)  # n^-1 mod (q-1)
 
@@ -96,6 +98,8 @@ class PrivateKey:
         p, q, n = self.p, self.q, self.public.n
         q_inv = nt.mod_inv(q, p)
         p_inv = nt.mod_inv(p, q)
+        # one Newton step lifts p^-1 from mod q to mod q^2
+        p_inv_lifted = p_inv * (2 - p * p_inv) % (q * q)
         # mu = L(g^lam)^-1 and L(g^lam) = L_p(g^(p-1)) * lam/(p-1) / q (mod p),
         # so h_p follows from mu without a pow; likewise h_q.
         derived = {
@@ -104,6 +108,7 @@ class PrivateKey:
             "h_p": self.mu * (self.lam // (p - 1)) * q_inv % p,
             "h_q": self.mu * (self.lam // (q - 1)) * p_inv % q,
             "p_inv": p_inv,
+            "p_squared_inv": p_inv_lifted * p_inv_lifted % (q * q),
             "d_p": nt.mod_inv(n, p - 1),
             "d_q": nt.mod_inv(n, q - 1),
         }
@@ -221,22 +226,52 @@ def _pow_g(pk: PublicKey, exp: int) -> int:
     return pow(pk.g, exp, pk.n_squared)
 
 
-def _raw_encrypt(pk: PublicKey, s1: int, s2: int) -> int:
+def _public(key: PublicKey | PrivateKey) -> PublicKey:
+    return key.public if isinstance(key, PrivateKey) else key
+
+
+def _nth_power(key: PublicKey | PrivateKey, x: int) -> int:
+    """x^n mod n^2; with the private key, by CRT and the Teichmueller lift.
+
+    Z*_{p^2} is Z_p x Z*_p, and its n-th powers form the factor of order
+    p - 1, so x^n mod p^2 depends only on x mod p: it is c^p mod p^2 for
+    c = (x mod p)^(n mod (p-1)) mod p (Paillier, EUROCRYPT '99, section 3).
+    The same holds modulo q^2. Both paths give the same value for every x.
+    """
+    if isinstance(key, PublicKey):
+        return pow(x, key.n, key.n_squared)
+    p, q, n = key.p, key.q, key.public.n
+    return _crt(
+        key.p_squared,
+        key.q_squared,
+        key.p_squared_inv,
+        pow(pow(x % p, n % (p - 1), p), p, key.p_squared),
+        pow(pow(x % q, n % (q - 1), q), q, key.q_squared),
+    )
+
+
+def _raw_encrypt(key: PublicKey | PrivateKey, s1: int, s2: int) -> int:
     """g^s1 * s2^n mod n^2, the map that split_residue inverts.
 
     Encryption (s1 = m, s2 = x), the trapdoor permutation (the n-adic
     digits of a wide message) and signature verification all evaluate it.
+    The key owner may pass its private key, which makes s2^n cheaper.
     """
-    return _pow_g(pk, s1) * pow(s2, pk.n, pk.n_squared) % pk.n_squared
+    pk = _public(key)
+    return _pow_g(pk, s1) * _nth_power(key, s2) % pk.n_squared
 
 
 def encrypt(
-    pk: PublicKey, m: int, rng: nt.RandomSource | None = None
+    key: PublicKey | PrivateKey, m: int, rng: nt.RandomSource | None = None
 ) -> Ciphertext:
-    """Randomized encryption: g^m * x^n mod n^2 for a fresh unit x."""
+    """Randomized encryption: g^m * x^n mod n^2 for a fresh unit x.
+
+    Under the private key the result is the same, computed faster.
+    """
+    pk = _public(key)
     _check_plaintext(pk, m)
     x = nt.random_unit(pk.n, rng)
-    return Ciphertext(_raw_encrypt(pk, m, x), pk.fingerprint)
+    return Ciphertext(_raw_encrypt(key, m, x), pk.fingerprint)
 
 
 def encrypt_with_nonce(pk: PublicKey, m: int, x: int) -> Ciphertext:

@@ -61,7 +61,7 @@ class PaillierInitiatorSession:
     def step1_send(self, rng: nt.RandomSource | None = None) -> int:
         """First pass: a fresh ciphertext of the message."""
         self._advance(InitiatorState.CREATED, InitiatorState.SENT_M1)
-        return encrypt(self.sk.public, self.message, rng).value
+        return encrypt(self.sk, self.message, rng).value
 
     def step3_reveal(self, second_pass: int) -> int:
         """Third pass: decrypt the responder's exponent-scaled ciphertext.
@@ -101,8 +101,21 @@ class PaillierResponderSession:
         self._m2_inv = None
         self._x = None
 
+    def choose_secret(self, rng: nt.RandomSource | None = None) -> None:
+        """Draw the secret m2; it depends only on the key, not on the first pass."""
+        if self.state is not ResponderState.CREATED or self._m2 is not None:
+            raise ProtocolOrderViolation("responder secret is already chosen")
+        pk = self.pk
+        if self.hardened:
+            self._x = nt.random_unit(pk.n, rng)
+            self._m2 = pow(self._x, pk.n, pk.n)
+        else:
+            self._m2 = nt.random_unit(pk.n, rng)
+        self._m2_inv = nt.mod_inv(self._m2, pk.n)
+
     def step2_respond(self, first_pass: int, rng: nt.RandomSource | None = None) -> int:
-        """Second pass: raise the initiator's ciphertext to the secret m2."""
+        """Second pass: raise the initiator's ciphertext to the secret m2,
+        drawn here from ``rng`` unless choose_secret already drew it."""
         if self.state is not ResponderState.CREATED:
             raise ProtocolOrderViolation(
                 f"responder is {self.state.value}, step needs created"
@@ -110,12 +123,8 @@ class PaillierResponderSession:
         pk = self.pk
         if not 0 < first_pass < pk.n_squared or math.gcd(first_pass, pk.n_squared) != 1:
             raise MalformedMessage("first pass is not a unit modulo n^2")
-        if self.hardened:
-            self._x = nt.random_unit(pk.n, rng)
-            self._m2 = pow(self._x, pk.n, pk.n)
-        else:
-            self._m2 = nt.random_unit(pk.n, rng)
-        self._m2_inv = nt.mod_inv(self._m2, pk.n)
+        if self._m2 is None:
+            self.choose_secret(rng)
         self.state = ResponderState.SENT_M2
         return pow(first_pass, self._m2, pk.n_squared)
 

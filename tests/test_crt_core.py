@@ -73,6 +73,29 @@ def test_crt_core_exhaustive_small_modulus(sk):
         assert signature.sign_raw(sk, w) == signature.Signature(s1, s2)
 
 
+@pytest.mark.parametrize("sk", TOY_KEYS, ids=lambda k: f"n{k.public.n}-g{k.public.g}")
+def test_key_owner_nth_power_exhaustive_small_modulus(sk):
+    n, n2 = sk.public.n, sk.public.n_squared
+    assert sk.p_squared_inv == egcd_inverse(sk.p_squared, sk.q_squared)
+    for x in range(n2):  # Z*_n and every other residue
+        assert paillier._nth_power(sk, x) == pow(x, n, n2)
+        assert paillier._nth_power(sk.public, x) == pow(x, n, n2)
+
+
+@pytest.mark.parametrize("strategy", list(BaseStrategy), ids=str)
+def test_key_owner_encryption_matches_public_on_512_bit_keys(strategy):
+    rng = random.Random(f"lift-{strategy}")
+    sk = paillier.keygen(256, strategy, rng)
+    pk = sk.public
+    for _ in range(5):
+        x = rng.randrange(1, pk.n)
+        assert paillier._nth_power(sk, x) == pow(x, pk.n, pk.n_squared)
+        m, seed = rng.randrange(pk.n), rng.getrandbits(64)
+        assert paillier.encrypt(sk, m, random.Random(seed)) == paillier.encrypt(
+            pk, m, random.Random(seed)
+        )
+
+
 @pytest.mark.parametrize("strategy", list(BaseStrategy), ids=str)
 def test_crt_core_matches_textbook_on_512_bit_keys(strategy):
     rng = random.Random(f"crt-{strategy}")
@@ -106,6 +129,6 @@ def test_derived_fields_stay_out_of_repr_and_equality():
     assert repr(sk) == f"<PrivateKey for {sk.public!r}>"
     derived = [f for f in dataclasses.fields(sk) if not f.init]
     assert [f.name for f in derived] == [
-        "p_squared", "q_squared", "h_p", "h_q", "p_inv", "d_p", "d_q",
+        "p_squared", "q_squared", "h_p", "h_q", "p_inv", "p_squared_inv", "d_p", "d_q",
     ]
     assert not any(f.repr or f.compare for f in derived)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import socket
 import threading
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from p3p import net, wire
+from p3p import net, paillier, wire
 from p3p.errors import ProtocolError, ProtocolTimeout
 from p3p.threepass import PaillierInitiatorSession
 from p3p.wire import MsgType
@@ -98,18 +99,21 @@ def test_initiator_times_out_on_silent_responder():
 def test_initiator_times_out_on_hanging_tcp_peer():
     server = socket.create_server(("127.0.0.1", 0))
     port = server.getsockname()[1]
-    connections = []
+    released = threading.Event()
 
     def accept_and_hang():
         conn, _ = server.accept()
-        connections.append(conn)  # keep open, never reply
-        time.sleep(1.0)
+        with conn:
+            released.wait(5.0)  # keep open, never reply
 
     worker = threading.Thread(target=accept_and_hang, daemon=True)
     worker.start()
     session = PaillierInitiatorSession(KEY15, 7)
     with pytest.raises(ProtocolTimeout):
         net.send_over_tcp("127.0.0.1", port, session, timeout=0.3)
+    released.set()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
     server.close()
 
 
@@ -269,3 +273,97 @@ def test_serve_keeps_serving_after_a_failed_session(parallel):
     assert "outcomes" not in result
     assert isinstance(result["error"], ProtocolError)
     assert "bad key announce" in str(result["error"])
+
+
+# sha256 of the frames of one seeded session. How the key owner computes
+# x^n and when the responder draws its secret must not change them.
+PINNED_SESSION_SHA256 = {
+    True: "297b5b3d0d501e62fd0a7069ddac8a634d5dd312ccbb9a17c0b50b4341f796ee",
+    False: "8574912a8a809452df3bd7b748ceb248bb9c1d0379a26b228dbc7c33466a610d",
+}
+
+
+@pytest.mark.parametrize("hardened", [True, False])
+def test_seeded_512_bit_session_frames_are_pinned(hardened):
+    sk = paillier.keygen(256, rng=random.Random("pinned-session"))
+    message = random.Random("pinned-message").randrange(sk.public.n)
+    init_channel, resp_channel = net.memory_channel_pair(timeout=10.0)
+    results = {}
+    worker = threading.Thread(target=lambda: results.update(responder=net.run_responder(
+        resp_channel, rng=random.Random(2), hardened=hardened
+    )))
+    worker.start()
+    initiator = net.run_initiator(
+        init_channel, PaillierInitiatorSession(sk, message), rng=random.Random(1)
+    )
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert results["responder"].recovered == message
+    assert results["responder"].frames == initiator.frames
+    digest = hashlib.sha256(b"".join(initiator.frames)).hexdigest()
+    assert digest == PINNED_SESSION_SHA256[hardened]
+
+
+def test_idle_listener_keeps_waiting_past_the_session_timeout():
+    listening = threading.Event()
+    port_holder = {}
+    result = {}
+
+    def on_listening(port):
+        port_holder["port"] = port
+        listening.set()
+
+    def server():
+        try:
+            result["outcomes"] = net.serve_three_pass(
+                port=0, sessions=2, timeout=0.3, on_listening=on_listening
+            )
+        except Exception as exc:
+            result["error"] = exc
+
+    worker = threading.Thread(target=server, daemon=True)
+    worker.start()
+    assert listening.wait(5.0)
+    for message, idle in ((4, 0.8), (13, 0.0)):
+        session = PaillierInitiatorSession(KEY15, message)
+        net.send_over_tcp("127.0.0.1", port_holder["port"], session, timeout=5.0)
+        time.sleep(idle)
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    assert "error" not in result
+    assert sorted(o.recovered for o in result["outcomes"]) == [4, 13]
+
+
+def test_drip_peer_hits_the_session_deadline():
+    # a valid frame, one byte every 50 ms: each byte comes well inside the
+    # timeout, the whole frame never does
+    frame = wire.encode_msg(wire.key_announce(2**2048 + 1, 3))
+    stop = threading.Event()
+
+    def drip(port):
+        with socket.create_connection(("127.0.0.1", port), timeout=5.0) as sock:
+            for byte in frame[:60]:
+                if stop.is_set():
+                    return
+                try:
+                    sock.sendall(bytes([byte]))
+                except OSError:
+                    return  # the responder gave up and closed
+                time.sleep(0.05)
+            stop.wait(5.0)
+
+    dripper = []
+
+    def on_listening(port):
+        dripper.append(threading.Thread(target=drip, args=(port,), daemon=True))
+        dripper[0].start()
+
+    started = time.monotonic()
+    try:
+        with pytest.raises(ProtocolTimeout):
+            net.serve_three_pass(port=0, sessions=1, timeout=0.5, on_listening=on_listening)
+        assert time.monotonic() - started < 2.0
+    finally:
+        stop.set()
+        dripper[0].join(timeout=5.0)
+    assert not dripper[0].is_alive()

@@ -6,14 +6,23 @@ None of the arithmetic here is constant-time -- see the README for the
 side-channel caveat.
 """
 
+import functools
 import math
 import random
 from typing import Protocol
 
 from .errors import DomainError, NotInvertible
 
-# Miller-Rabin round counts: 40 for key material, 20 for utility checks.
+# Miller-Rabin round counts. Numbers that come from outside get
+# DEFAULT_MR_ROUNDS and the worst-case error bound 4**-rounds. gen_prime
+# tests uniformly random candidates, whose average-case error Damgard,
+# Landrock and Pomerance bound far lower (HAC Fact 4.48(ii)): each entry
+# (least bits, rounds) of KEYGEN_MR_ROUNDS_BY_BITS keeps that error below
+# 2**-128 for every prime size from its bit length up. The sieve in
+# is_probable_prime removes only composites, so it can only lower that
+# error. Smaller primes get KEYGEN_MR_ROUNDS (worst case 4**-40 = 2**-80).
 KEYGEN_MR_ROUNDS = 40
+KEYGEN_MR_ROUNDS_BY_BITS = ((1536, 4), (1024, 6), (512, 12))
 DEFAULT_MR_ROUNDS = 20
 
 
@@ -65,23 +74,38 @@ def l_function(u: int, n: int) -> int:
     return quotient
 
 
-def _sieve(limit: int) -> list[int]:
+def _sieve(limit: int) -> bytearray:
+    """flags[i] is 1 exactly when i <= limit is prime."""
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for i in range(2, int(limit**0.5) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
-    return [i for i, f in enumerate(flags) if f]
+    return flags
 
 
-_SMALL_PRIMES = _sieve(1000)
+_SMALL_PRIMES = [i for i, f in enumerate(_sieve(1000)) if f]
+_SIEVE_LIMIT = 1 << 16
+
+
+@functools.cache
+def _sieve_product() -> int:
+    """Product of the primes in (1000, 2^16), built on first use (~20 ms).
+
+    The primes are streamed from the flags, never held in a list, so
+    building it adds nothing to the peak memory of a keygen.
+    """
+    flags = _sieve(_SIEVE_LIMIT)
+    return math.prod(i for i in range(1001, _SIEVE_LIMIT, 2) if flags[i])
 
 
 def is_probable_prime(candidate: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     """Miller-Rabin with ``rounds`` random witnesses.
 
     False positives occur with probability below 4**-rounds. Composites
-    with a factor under 1000 are rejected by trial division first.
+    with a factor under 2^16 are rejected before any witness is drawn: by
+    trial division below 1000, then, above 2^16, by one gcd with the
+    product of the primes in (1000, 2^16).
     """
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
@@ -92,7 +116,11 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
             return True
         if candidate % p == 0:
             return False
-    # candidate is odd and > 1000 here; write candidate - 1 = d * 2^s
+    # candidate is odd and > 1000 here, so below 1000**2 it is prime; the
+    # gcd would reject the primes in (1000, 2^16), so it starts above them
+    if candidate > _SIEVE_LIMIT and math.gcd(candidate, _sieve_product()) != 1:
+        return False
+    # write candidate - 1 = d * 2^s
     d = candidate - 1
     s = 0
     while d % 2 == 0:
@@ -112,16 +140,29 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     return True
 
 
+def _keygen_rounds(bits: int) -> int:
+    for least, rounds in KEYGEN_MR_ROUNDS_BY_BITS:
+        if bits >= least:
+            return rounds
+    return KEYGEN_MR_ROUNDS
+
+
 def gen_prime(bits: int, rng: RandomSource | None = None) -> int:
-    """Random probable prime with exactly ``bits`` bits (top bit set)."""
+    """Random probable prime with exactly ``bits`` bits (top bit set).
+
+    The round count assumes ``rng`` draws uniformly; see
+    ``KEYGEN_MR_ROUNDS_BY_BITS``. Witnesses come from the system source,
+    so the primes found depend on ``rng`` alone.
+    """
     if bits < 2:
         raise DomainError("primes need at least 2 bits")
     rng = _rng(rng)
+    rounds = _keygen_rounds(bits)
     while True:
         candidate = rng.randrange(1 << (bits - 1), 1 << bits)
         if bits > 2:
             candidate |= 1
-        if is_probable_prime(candidate, KEYGEN_MR_ROUNDS):
+        if is_probable_prime(candidate, rounds):
             return candidate
 
 

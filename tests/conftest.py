@@ -1,4 +1,7 @@
+import pytest
+
 from p3p import from_primes
+from p3p import numtheory as nt
 
 # Toy keys small enough for exhaustive checks: n = 15 and n = 35.
 KEY15 = from_primes(3, 5)
@@ -19,3 +22,18 @@ class ScriptedRandom:
             f"scripted value {value} outside [{start}, {stop})"
         )
         return value
+
+
+@pytest.fixture
+def primality_calls(monkeypatch):
+    """(candidate, rounds) of every is_probable_prime call made through the
+    module attribute, which is where the benchmark's tracer wraps it."""
+    calls = []
+    original = nt.is_probable_prime
+
+    def spy(candidate, rounds=nt.DEFAULT_MR_ROUNDS):
+        calls.append((candidate, rounds))
+        return original(candidate, rounds)
+
+    monkeypatch.setattr(nt, "is_probable_prime", spy)
+    return calls

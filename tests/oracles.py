@@ -6,6 +6,7 @@ implementation under test.
 """
 
 import math
+import random
 
 
 def egcd(a, b):
@@ -30,6 +31,39 @@ def trial_division_is_prime(n):
             return False
         f += 1
     return True
+
+
+def strong_probable_prime(n, a):
+    """One Miller-Rabin round: whether odd n > 2 passes for witness a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def textbook_gen_prime(bits, rng, rounds=40):
+    """The prime search as first written: odd ``bits``-bit candidates from
+    rng, trial division below 1000, then ``rounds`` Miller-Rabin rounds.
+    Witnesses come from a source of their own, so the prime found depends
+    on rng alone. Meant for bits well above 10."""
+    small = [f for f in range(2, 1000) if trial_division_is_prime(f)]
+    witnesses = random.Random(bits)
+    while True:
+        candidate = rng.randrange(1 << (bits - 1), 1 << bits) | 1
+        if any(candidate % f == 0 for f in small):
+            continue
+        if all(
+            strong_probable_prime(candidate, witnesses.randrange(2, candidate - 1))
+            for _ in range(rounds)
+        ):
+            return candidate
 
 
 def units(modulus):

@@ -3,8 +3,13 @@ it wraps each function in its TRACED table and shadows the builtin ``pow``
 in every p3p module. These tests fail when a change to p3p removes a
 traced name or shadows ``pow``, before a traced benchmark run would."""
 
+import random
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+from p3p import numtheory as nt
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -33,3 +38,31 @@ def test_every_traced_name_resolves():
 
 def test_no_p3p_module_defines_pow():
     assert [m.__name__ for m in tracing._p3p_modules() if "pow" in vars(m)] == []
+
+
+class CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def test_gen_prime_tests_each_candidate_through_the_module_global(primality_calls):
+    # The tracer counts is_probable_prime.calls_per_keygen by replacing the
+    # module attribute; gen_prime must look it up there once per candidate.
+    for bits, rounds in ((256, nt.KEYGEN_MR_ROUNDS), (512, 12)):
+        primality_calls.clear()
+        rng = CountingRandom(bits)
+        prime = nt.gen_prime(bits, rng)
+        assert len(primality_calls) == rng.draws > 1
+        assert primality_calls[-1] == (prime, rounds)
+        assert {r for _, r in primality_calls} == {rounds}
+
+
+def test_importing_the_cli_leaves_the_sieve_product_unbuilt():
+    code = ("import p3p.cli, p3p.numtheory as nt; "
+            "print(nt._sieve_product.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "0"

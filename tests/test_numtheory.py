@@ -5,11 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p3p import cli, paillier, threepass
 from p3p import numtheory as nt
 from p3p.errors import DomainError, NotInvertible
 
 from conftest import ScriptedRandom
-from oracles import egcd_inverse, trial_division_is_prime
+from oracles import egcd_inverse, textbook_gen_prime, trial_division_is_prime
+
+SIEVE_LIMIT = 2**16
+# The primes the gcd sieve divides out: those in (1000, 2^16).
+SIEVE_PRIMES = [n for n in range(1001, SIEVE_LIMIT, 2) if trial_division_is_prime(n)]
 
 
 def test_mod_inv_known_values():
@@ -77,8 +82,68 @@ def test_primality_large_known_values():
 
 
 def test_primality_rounds_validated():
-    with pytest.raises(DomainError):
-        nt.is_probable_prime(7, 0)
+    # before any shortcut: small primes, trial division and the sieve gcd
+    for n in (7, 0, 1, 2, 15, 1009, 1009 * 1013, 65537, 2**127 - 1, 2**128 - 1):
+        for rounds in (0, -1):
+            with pytest.raises(DomainError):
+                nt.is_probable_prime(n, rounds)
+
+
+def test_primality_agrees_with_trial_division_across_the_sieve_limit():
+    for n in range(SIEVE_LIMIT - 2000, SIEVE_LIMIT + 2001):
+        assert nt.is_probable_prime(n, 20) == trial_division_is_prime(n), n
+
+
+def test_primes_dividing_the_sieve_product_are_still_prime():
+    assert len(SIEVE_PRIMES) == 6374
+    assert all(nt.is_probable_prime(p, 20) for p in SIEVE_PRIMES)
+
+
+def test_semiprimes_of_sieve_primes_are_rejected():
+    rng = random.Random(16)
+    for _ in range(300):
+        p, q = rng.choice(SIEVE_PRIMES), rng.choice(SIEVE_PRIMES)
+        assert not nt.is_probable_prime(p * q, 20), (p, q)
+        assert not nt.is_probable_prime(p * (2**127 - 1), 20), p
+
+
+def hac_448_bound(k, t):
+    """HAC Fact 4.48(ii): average-case error of t Miller-Rabin rounds on a
+    uniformly random odd k-bit integer (Damgard, Landrock, Pomerance)."""
+    return k**1.5 * 2**t * t**-0.5 * 4 ** (2 - math.sqrt(t * k))
+
+
+@pytest.mark.parametrize("bits, rounds", nt.KEYGEN_MR_ROUNDS_BY_BITS)
+def test_keygen_round_table_meets_the_dlp_bound(bits, rounds):
+    assert 3 <= rounds <= bits / 9  # where Fact 4.48(ii) holds
+    assert hac_448_bound(bits, rounds) < 2**-128
+    # the next smaller count would not do: the table is tight
+    assert hac_448_bound(bits, rounds - 1) >= 2**-128
+
+
+def test_keygen_rounds_by_prime_size():
+    expected = {2: 40, 256: 40, 511: 40, 512: 12, 1023: 12, 1024: 6, 1535: 6,
+                1536: 4, 4096: 4}
+    assert {bits: nt._keygen_rounds(bits) for bits in expected} == expected
+
+
+def test_outside_numbers_keep_the_default_rounds(primality_calls, capsys):
+    paillier.from_primes(1019, 1021)
+    assert len(primality_calls) == 2
+    threepass.shamir_keygen(1019, random.Random(0))
+    assert len(primality_calls) == 3
+    assert cli.main(["shamir-demo", "--prime", "1019", "--message", "3",
+                     "--seed", "0"]) == 0
+    assert "recovered 3" in capsys.readouterr().out
+    assert len(primality_calls) == 6
+    assert min(r for _, r in primality_calls) >= nt.DEFAULT_MR_ROUNDS
+
+
+@pytest.mark.parametrize("bits", [64, 256, 512])
+def test_gen_prime_matches_the_textbook_search(bits):
+    for seed in range(8):
+        expected = textbook_gen_prime(bits, random.Random(seed))
+        assert nt.gen_prime(bits, random.Random(seed)) == expected, seed
 
 
 def test_gen_prime_two_bits():

@@ -3,8 +3,9 @@
 A file is a header line naming the payload kind and version, then the
 base64 of length-prefixed big-endian fields. Parsing is a bit-exact
 inverse of serialization on valid inputs and raises ParseError (never
-crashes) on anything else; private keys are revalidated against their
-defining relations before being accepted.
+crashes) on anything else. A public key is accepted only if PublicKey
+accepts it; a private key is derived again from p, q and g, and its
+lambda and mu must match the stored ones.
 """
 
 import base64
@@ -70,29 +71,27 @@ def serialize_key(key: PublicKey | PrivateKey) -> bytes:
 
 
 def parse_key(data: bytes) -> PublicKey | PrivateKey:
-    """Parse either key kind, revalidating private key relations."""
+    """Parse either key kind; both are revalidated before being returned."""
     header, body = _open_envelope(data)
     if header == PUBLIC_HEADER:
         n, g = _decode_fields(body, 2)
-        if n < 2:
-            raise ParseError(f"modulus {n} is too small", offset=0)
-        return PublicKey(n=n, g=g)
+        try:
+            return PublicKey(n=n, g=g)
+        except DomainError as exc:
+            raise ParseError(f"invalid key: {exc}", offset=0) from None
     if header == PRIVATE_HEADER:
         n, g, p, q, lam, mu = _decode_fields(body, 6)
         if p * q != n:
             raise ParseError("field mismatch: n is not p*q", offset=0)
         if min(p, q) < 2:
             raise ParseError(f"factor {min(p, q)} is too small", offset=0)
-        if lam != math.lcm(p - 1, q - 1):
-            raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
-        n_squared = n * n
-        if not 0 < g < n_squared or math.gcd(g, n_squared) != 1:
-            raise ParseError("residue base is not a unit modulo n^2", offset=0)
         try:
             key = derive_key(p, q, g)
-        except (DomainError, NotInvertible):
-            key = None  # no mu inverts L(g^lambda) when g is no residue base
-        if key is None or key.mu != mu:
+        except (DomainError, NotInvertible) as exc:
+            raise ParseError(f"invalid key: {exc}", offset=0) from None
+        if key.lam != lam:
+            raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
+        if key.mu != mu:
             raise ParseError("field mismatch: mu does not invert L(g^lambda)", offset=0)
         return key
     raise ParseError(f"unknown header {header!r}", offset=0)

@@ -13,7 +13,6 @@ deadline for the whole conversation, so a peer that sends slowly cannot
 hold a session open either.
 """
 
-import math
 import queue
 import socket
 import threading
@@ -23,6 +22,7 @@ from typing import Callable
 
 from . import numtheory as nt
 from .errors import (
+    DomainError,
     MalformedMessage,
     ParseError,
     ProtocolError,
@@ -228,9 +228,10 @@ def run_responder(
         n, g = parse_key_announce(announce)
     except ParseError as exc:
         raise _abort(channel, f"bad key announce: {exc}") from exc
-    if n < 2 or math.gcd(g, n * n) != 1:
-        raise _abort(channel, "announced key is unusable")
-    pk = PublicKey(n=n, g=g)
+    try:
+        pk = PublicKey(n=n, g=g)
+    except DomainError as exc:
+        raise _abort(channel, "announced key is unusable") from exc
     session = PaillierResponderSession(pk, hardened=hardened)
     session.choose_secret(rng)  # while the initiator encrypts pass 1
     pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value

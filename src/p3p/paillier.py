@@ -52,7 +52,11 @@ def fingerprint_modulus(n: int) -> bytes:
 
 @dataclass(frozen=True)
 class PublicKey:
-    """Everything a sender or verifier needs: the modulus and residue base."""
+    """Everything a sender or verifier needs: the modulus and residue base.
+
+    Construction is the one check of a public key: it raises DomainError
+    unless n >= 2 and g is a unit modulo n^2.
+    """
 
     n: int
     g: int
@@ -60,7 +64,11 @@ class PublicKey:
     fingerprint: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.n < 2:
+            raise DomainError(f"modulus {self.n} is too small")
         object.__setattr__(self, "n_squared", self.n * self.n)
+        if not _is_unit(self, self.g):
+            raise DomainError("base is not a unit modulo n^2")
         object.__setattr__(self, "fingerprint", fingerprint_modulus(self.n))
 
     def __repr__(self):
@@ -127,6 +135,11 @@ class Ciphertext:
     key_fingerprint: bytes = field(repr=False)
 
 
+def _is_unit(pk: PublicKey, w: int) -> bool:
+    # gcd(w, n) = 1 iff gcd(w, n^2) = 1, and the smaller gcd is about twice as fast
+    return 0 < w < pk.n_squared and math.gcd(w, pk.n) == 1
+
+
 def _crt(p: int, q: int, p_inv: int, r_p: int, r_q: int) -> int:
     """The value below p*q that is r_p mod p and r_q mod q."""
     return r_p + p * ((r_q - r_p) * p_inv % q)
@@ -140,10 +153,7 @@ def derive_key(p: int, q: int, g: int) -> PrivateKey:
     pow mod p^2 and one mod q^2 whatever the base. Raises DomainError
     unless g is a residue base; p and q are trusted to be distinct primes.
     """
-    n = p * q
-    n_squared = n * n
-    if not 0 < g < n_squared or math.gcd(g, n_squared) != 1:
-        raise DomainError("base is not a unit modulo n^2")
+    pk = PublicKey(n=p * q, g=g)
     lam = math.lcm(p - 1, q - 1)
     mu_parts = []
     for prime, other in ((p, q), (q, p)):
@@ -152,10 +162,10 @@ def derive_key(p: int, q: int, g: int) -> PrivateKey:
         try:
             inverse = nt.mod_inv(l_value * (lam // (prime - 1)), prime)
         except NotInvertible:
-            raise DomainError(f"{g} is not a residue base for n={n}") from None
+            raise DomainError(f"{g} is not a residue base for n={pk.n}") from None
         mu_parts.append(other * inverse % prime)
     mu = _crt(p, q, nt.mod_inv(p, q), *mu_parts)
-    return PrivateKey(p=p, q=q, lam=lam, mu=mu, public=PublicKey(n=n, g=g))
+    return PrivateKey(p=p, q=q, lam=lam, mu=mu, public=pk)
 
 
 def keygen(
@@ -283,7 +293,7 @@ def encrypt_with_nonce(pk: PublicKey, m: int, x: int) -> Ciphertext:
 
 
 def _check_ciphertext_value(pk: PublicKey, value: int) -> None:
-    if not 0 < value < pk.n_squared or math.gcd(value, pk.n_squared) != 1:
+    if not _is_unit(pk, value):
         raise MalformedCiphertext(f"{value} is not a unit modulo n^2")
 
 
@@ -311,11 +321,11 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
     """Residue class of w relative to ``base``: the unique exponent in
     w = base^class * (n-th power of a unit)."""
     pk = sk.public
-    if not 0 < w < pk.n_squared or math.gcd(w, pk.n_squared) != 1:
+    if not _is_unit(pk, w):
         raise DomainError(f"{w} is not a unit modulo n^2")
     if base == pk.g:
         return _class(sk, w)
-    if not 0 < base < pk.n_squared or math.gcd(base, pk.n_squared) != 1:
+    if not _is_unit(pk, base):
         raise DomainError("base is not a unit modulo n^2")
     # change of base: class_base(w) = class_g(w) / class_g(base)
     try:

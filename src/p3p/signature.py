@@ -8,12 +8,11 @@ blindness here covers the residue part only, not the class.
 """
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .errors import DomainError, InternalError, NotSignable
-from .paillier import PrivateKey, PublicKey, _raw_encrypt, split_residue
+from .errors import InternalError, NotSignable
+from .paillier import PrivateKey, PublicKey, _is_unit, _raw_encrypt, split_residue
 
 _HASH_ATTEMPTS = 256
 
@@ -37,7 +36,7 @@ class BlindingSecret:
 
 
 def _check_signable(pk: PublicKey, m: int) -> None:
-    if not 0 < m < pk.n_squared or math.gcd(m, pk.n_squared) != 1:
+    if not _is_unit(pk, m):
         raise NotSignable("message must be a unit modulo n^2")
 
 
@@ -58,44 +57,38 @@ def verify(pk: PublicKey, m: int, sig: Signature) -> bool:
     return _raw_encrypt(pk, sig.s1, sig.s2) == m
 
 
-def hash_to_signable(pk: PublicKey, message: bytes, hash_id: str = "sha256") -> int:
+def hash_to_signable(pk: PublicKey, message: bytes) -> int:
     """Map arbitrary bytes into Z*_{n^2} deterministically.
 
-    The digest is expanded in counter mode to twice the modulus width,
+    The SHA-256 digest is expanded in counter mode to twice the modulus width,
     reduced mod n^2, and the attempt counter bumped until the result is a
     nonzero unit. Hitting a non-unit means factoring n, so in practice the
     first attempt wins.
     """
     target_bytes = (2 * pk.n.bit_length() + 7) // 8
-    try:
-        hashlib.new(hash_id)
-    except ValueError:
-        raise DomainError(f"unsupported hash {hash_id!r}") from None
     for attempt in range(_HASH_ATTEMPTS):
         buf = bytearray()
         block = 0
         while len(buf) < target_bytes:
-            h = hashlib.new(hash_id)
+            h = hashlib.sha256()
             h.update(attempt.to_bytes(4, "big"))
             h.update(block.to_bytes(4, "big"))
             h.update(message)
             buf.extend(h.digest())
             block += 1
         candidate = int.from_bytes(buf[:target_bytes], "big") % pk.n_squared
-        if candidate != 0 and math.gcd(candidate, pk.n_squared) == 1:
+        if _is_unit(pk, candidate):
             return candidate
     raise InternalError(f"no signable digest in {_HASH_ATTEMPTS} attempts")
 
 
-def sign(sk: PrivateKey, message: bytes, hash_id: str = "sha256") -> Signature:
+def sign(sk: PrivateKey, message: bytes) -> Signature:
     """Hash-then-sign; use this for real messages, sign_raw for residues."""
-    return sign_raw(sk, hash_to_signable(sk.public, message, hash_id))
+    return sign_raw(sk, hash_to_signable(sk.public, message))
 
 
-def verify_message(
-    pk: PublicKey, message: bytes, sig: Signature, hash_id: str = "sha256"
-) -> bool:
-    return verify(pk, hash_to_signable(pk, message, hash_id), sig)
+def verify_message(pk: PublicKey, message: bytes, sig: Signature) -> bool:
+    return verify(pk, hash_to_signable(pk, message), sig)
 
 
 def blind(

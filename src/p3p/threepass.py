@@ -17,13 +17,8 @@ import math
 from dataclasses import dataclass
 
 from . import numtheory as nt
-from .errors import (
-    DomainError,
-    MalformedMessage,
-    PlaintextOutOfRange,
-    ProtocolOrderViolation,
-)
-from .paillier import Ciphertext, PrivateKey, PublicKey, decrypt, encrypt
+from .errors import DomainError, MalformedMessage, ProtocolOrderViolation
+from .paillier import PrivateKey, PublicKey, _check_plaintext, _class, _is_unit, encrypt
 
 
 class InitiatorState(enum.Enum):
@@ -43,10 +38,7 @@ class PaillierInitiatorSession:
     """Sender role: owns the keypair and the message to deliver."""
 
     def __init__(self, sk: PrivateKey, message: int):
-        if not 0 <= message < sk.public.n:
-            raise PlaintextOutOfRange(
-                f"message must be in [0, {sk.public.n}), got {message}"
-            )
+        _check_plaintext(sk.public, message)
         self.sk = sk
         self.message = message
         self.state = InitiatorState.CREATED
@@ -69,15 +61,14 @@ class PaillierInitiatorSession:
         The result is message * m2 mod n, a blinding of the message by the
         responder's secret m2.
         """
-        pk = self.sk.public
         if self.state is not InitiatorState.SENT_M1:
             raise ProtocolOrderViolation(
                 f"initiator is {self.state.value}, step needs sent-m1"
             )
-        if not 0 < second_pass < pk.n_squared or math.gcd(second_pass, pk.n_squared) != 1:
+        if not _is_unit(self.sk.public, second_pass):
             raise MalformedMessage("second pass is not a unit modulo n^2")
         self.state = InitiatorState.SENT_M3
-        return decrypt(self.sk, Ciphertext(second_pass, pk.fingerprint))
+        return _class(self.sk, second_pass)
 
     def mark_done(self) -> None:
         """Record that the third pass was delivered (transport's call)."""
@@ -99,7 +90,6 @@ class PaillierResponderSession:
         self.state = ResponderState.CREATED
         self._m2 = None
         self._m2_inv = None
-        self._x = None
 
     def choose_secret(self, rng: nt.RandomSource | None = None) -> None:
         """Draw the secret m2; it depends only on the key, not on the first pass."""
@@ -107,8 +97,8 @@ class PaillierResponderSession:
             raise ProtocolOrderViolation("responder secret is already chosen")
         pk = self.pk
         if self.hardened:
-            self._x = nt.random_unit(pk.n, rng)
-            self._m2 = pow(self._x, pk.n, pk.n)
+            x = nt.random_unit(pk.n, rng)
+            self._m2 = pow(x, pk.n, pk.n)
         else:
             self._m2 = nt.random_unit(pk.n, rng)
         self._m2_inv = nt.mod_inv(self._m2, pk.n)
@@ -120,13 +110,12 @@ class PaillierResponderSession:
             raise ProtocolOrderViolation(
                 f"responder is {self.state.value}, step needs created"
             )
-        pk = self.pk
-        if not 0 < first_pass < pk.n_squared or math.gcd(first_pass, pk.n_squared) != 1:
+        if not _is_unit(self.pk, first_pass):
             raise MalformedMessage("first pass is not a unit modulo n^2")
         if self._m2 is None:
             self.choose_secret(rng)
         self.state = ResponderState.SENT_M2
-        return pow(first_pass, self._m2, pk.n_squared)
+        return pow(first_pass, self._m2, self.pk.n_squared)
 
     def step4_recover(self, third_pass: int) -> int:
         """Divide the secret back out of the revealed product."""
@@ -139,7 +128,6 @@ class PaillierResponderSession:
                 f"third pass must be below n, got {third_pass}"
             )
         recovered = third_pass * self._m2_inv % self.pk.n
-        self._x = None  # retained only between steps 2 and 4
         self.state = ResponderState.DONE
         return recovered
 

@@ -1,3 +1,4 @@
+import base64
 import os
 import re
 import stat
@@ -8,6 +9,7 @@ import threading
 import pytest
 
 from p3p import keyfile, net
+from p3p.encoding import encode_uint
 from p3p.threepass import PaillierInitiatorSession
 
 CLI = [sys.executable, "-m", "p3p"]
@@ -201,6 +203,12 @@ def test_crypto_errors_exit_two(keypair, tmp_path):
         "decrypt", "--key", f"{keypair}.pub", "--ciphertext", "1"
     )
     assert public_only.returncode == 2
+    zero_base = tmp_path / "zero-base.pub"  # n = 15, g = 0
+    zero_base.write_bytes(
+        b"paillier-public-v1\n" + base64.b64encode(encode_uint(15) + encode_uint(0)) + b"\n"
+    )
+    rejected = run_cli("encrypt", "--key", str(zero_base), "--message", "07")
+    assert rejected.returncode == 2 and rejected.stdout == ""
 
 
 def test_three_pass_over_tcp(keypair):

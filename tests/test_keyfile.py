@@ -45,7 +45,14 @@ def test_unknown_header_rejected():
 
 
 def test_garbage_inputs_rejected():
-    for bad in (b"", b"\xff\xfe", b"hello world\n", b"paillier-public-v1\n!!!\n"):
+    # well-formed public key envelopes whose g is not in Z*_{n^2} for n = 15,
+    # or whose modulus is below 2
+    invalid_keys = [
+        b"paillier-public-v1\n" + base64.b64encode(encode_uint(n) + encode_uint(g))
+        for n, g in ((15, 0), (15, 15), (15, 225), (15, 226), (0, 1), (1, 2))
+    ]
+    for bad in (b"", b"\xff\xfe", b"hello world\n", b"paillier-public-v1\n!!!\n",
+                *invalid_keys):
         with pytest.raises(ParseError):
             keyfile.parse_key(bad)
 

@@ -194,10 +194,12 @@ def test_responder_rejects_garbage_opening_frame():
 
 
 def test_responder_rejects_unusable_announced_key():
-    init_channel, resp_channel = net.memory_channel_pair(timeout=2.0)
-    init_channel.send(wire.encode_msg(wire.key_announce(15, 15)))  # g not a unit
-    with pytest.raises(ProtocolError, match="unusable"):
-        net.run_responder(resp_channel)
+    # g not a unit, and g a unit modulo n^2 but not below it
+    for n, g in ((15, 15), (15, 226)):
+        init_channel, resp_channel = net.memory_channel_pair(timeout=2.0)
+        init_channel.send(wire.encode_msg(wire.key_announce(n, g)))
+        with pytest.raises(ProtocolError, match="unusable"):
+            net.run_responder(resp_channel)
 
 
 def test_parallel_sessions_are_independent():

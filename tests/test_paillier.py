@@ -80,6 +80,13 @@ def test_validate_residue_base_rejects_non_unit():
         paillier.derive_key(3, 5, 15)
     with pytest.raises(DomainError, match="not a unit"):
         paillier.derive_key(3, 5, 0)
+    # the check is PublicKey's own, so a key without primes gets it too
+    for g in (0, 15, 225, 226):
+        with pytest.raises(DomainError, match="not a unit"):
+            paillier.PublicKey(n=15, g=g)
+    for n in (0, 1):
+        with pytest.raises(DomainError, match="too small"):
+            paillier.PublicKey(n=n, g=n + 1)
 
 
 def test_derive_key_accepts_exactly_the_textbook_residue_bases():

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from p3p import paillier, signature
-from p3p.errors import DomainError, NotSignable
+from p3p.errors import NotSignable
 from p3p.signature import BlindingSecret, Signature
 
 from conftest import KEY15, KEY35, ScriptedRandom
@@ -74,9 +75,17 @@ def test_hash_to_signable_regression_and_postconditions():
         assert value == signature.hash_to_signable(PK15, message)
 
 
-def test_hash_to_signable_unknown_hash_rejected():
-    with pytest.raises(DomainError):
-        signature.hash_to_signable(PK15, b"x", hash_id="no-such-hash")
+def test_hash_to_signable_pinned_on_a_512_bit_key():
+    # n^2 takes 128 bytes here, so the digest is expanded over four blocks
+    pk = paillier.keygen(256, rng=random.Random(0)).public
+    assert pk.n.bit_length() == 512
+    pinned = {
+        b"": "f8833e4e7fef939ef3794f2507ebb4a87c8aeba2640f9e7aa4ce95d55af2dd7f",
+        b"abc": "93e8c12ff079c6e303e6426ea5f77ab6c56dd021ffc3428b3b703f2ac3b87a3e",
+    }
+    for message, digest in pinned.items():
+        value = signature.hash_to_signable(pk, message)
+        assert hashlib.sha256(value.to_bytes(128, "big")).hexdigest() == digest
 
 
 def test_sign_verify_message_roundtrip():

@@ -86,15 +86,24 @@ def test_hardened_recovery_for_every_root():
             assert recovered == m1
 
 
-def test_hardened_exponent_is_always_a_unit():
+def test_hardened_exponent_is_always_a_unit(monkeypatch):
+    pk = paillier.keygen(32, rng=random.Random(44)).public
+    drawn = []
+    original = nt.random_unit
+
+    def spy(modulus, rng=None):
+        drawn.append(original(modulus, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(nt, "random_unit", spy)
     rng = random.Random(45)
     for _ in range(50):
-        responder = PaillierResponderSession(PK15, hardened=True)
+        responder = PaillierResponderSession(pk, hardened=True)
         responder.step2_respond(83, rng)
-        assert math.gcd(responder._m2, 15) == 1
-        assert responder._x is not None
+        assert math.gcd(responder._m2, pk.n) == 1
+        # x, whose n-th power is m2, is not kept once m2 is drawn
+        assert drawn[-1] not in vars(responder).values()
         responder.step4_recover(1)
-        assert responder._x is None  # erased once the run is over
 
 
 def test_step2_homomorphic_identity():

@@ -4,8 +4,9 @@ A file is a header line naming the payload kind and version, then the
 base64 of length-prefixed big-endian fields. Parsing is a bit-exact
 inverse of serialization on valid inputs and raises ParseError (never
 crashes) on anything else. A public key is accepted only if PublicKey
-accepts it; a private key is derived again from p, q and g, and its
-lambda and mu must match the stored ones.
+accepts it. A private key is built again as PrivateKey(p, q, g), once
+n = p*q and p and q each pass one Miller-Rabin round to the base 2, and
+its lambda and mu must match the stored ones.
 """
 
 import base64
@@ -15,7 +16,7 @@ import math
 from . import numtheory as nt
 from .encoding import decode_uint, encode_uint
 from .errors import DomainError, NotInvertible, ParseError
-from .paillier import PrivateKey, PublicKey, derive_key
+from .paillier import PrivateKey, PublicKey
 from .signature import BlindingSecret, Signature
 
 PUBLIC_HEADER = "paillier-public-v1"
@@ -83,10 +84,11 @@ def parse_key(data: bytes) -> PublicKey | PrivateKey:
         n, g, p, q, lam, mu = _decode_fields(body, 6)
         if p * q != n:
             raise ParseError("field mismatch: n is not p*q", offset=0)
-        if min(p, q) < 2:
-            raise ParseError(f"factor {min(p, q)} is too small", offset=0)
+        for name, factor in (("p", p), ("q", q)):
+            if not nt.is_base2_probable_prime(factor):
+                raise ParseError(f"factor {name} is not prime", offset=0)
         try:
-            key = derive_key(p, q, g)
+            key = PrivateKey(p, q, g)
         except (DomainError, NotInvertible) as exc:
             raise ParseError(f"invalid key: {exc}", offset=0) from None
         if key.lam != lam:

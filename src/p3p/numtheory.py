@@ -120,24 +120,31 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
     # gcd would reject the primes in (1000, 2^16), so it starts above them
     if candidate > _SIEVE_LIMIT and math.gcd(candidate, _sieve_product()) != 1:
         return False
-    # write candidate - 1 = d * 2^s
+    witnesses = (_SYSTEM.randrange(2, candidate - 1) for _ in range(rounds))
+    return all(_strong_round(candidate, a) for a in witnesses)
+
+
+def _strong_round(candidate: int, a: int) -> bool:
+    """One Miller-Rabin round: is the odd candidate > 2 a strong probable
+    prime to the base a?"""
     d = candidate - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = _SYSTEM.randrange(2, candidate - 1)
-        x = pow(a, d, candidate)
-        if x == 1 or x == candidate - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % candidate
-            if x == candidate - 1:
-                break
-        else:
-            return False
-    return True
+    s = (d & -d).bit_length() - 1  # 2^s is the largest power of 2 dividing d
+    x = pow(a, d >> s, candidate)
+    if x in (1, candidate - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % candidate
+        if x == candidate - 1:
+            return True
+    return False
+
+
+def is_base2_probable_prime(candidate: int) -> bool:
+    """One Miller-Rabin round to the base 2, without the sieve: it catches a
+    corrupted prime cheaply, not a crafted pseudoprime (2047 = 23 * 89)."""
+    if candidate < 3 or candidate % 2 == 0:
+        return candidate == 2
+    return _strong_round(candidate, 2)
 
 
 def _keygen_rounds(bits: int) -> int:

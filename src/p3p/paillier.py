@@ -80,17 +80,19 @@ class PublicKey:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """Factorization trapdoor plus the precomputed decryption inverse mu.
+    """The primes p, q and residue base g; all other fields derive from them.
 
-    The fields after ``public`` are CRT constants derived on construction
-    from the ones before it. They are neither serialized nor compared.
+    Construction is the one derivation and check of a private key. It raises
+    DomainError if p = q, gcd(n, lambda) != 1, g is no residue base, or
+    PublicKey(p*q, g) does; p and q are trusted to be prime.
     """
 
     p: int = field(repr=False)
     q: int = field(repr=False)
-    lam: int = field(repr=False)  # lcm(p-1, q-1)
-    mu: int = field(repr=False)  # L(g^lam mod n^2)^-1 mod n
-    public: PublicKey
+    g: int = field(repr=False)
+    public: PublicKey = field(init=False, repr=False, compare=False)
+    lam: int = field(init=False, repr=False, compare=False)  # lcm(p-1, q-1)
+    mu: int = field(init=False, repr=False, compare=False)  # L(g^lam mod n^2)^-1 mod n
     p_squared: int = field(init=False, repr=False, compare=False)
     q_squared: int = field(init=False, repr=False, compare=False)
     # h_p = L_p(g^(p-1) mod p^2)^-1 mod p, and h_q the same modulo q
@@ -103,18 +105,39 @@ class PrivateKey:
     d_q: int = field(init=False, repr=False, compare=False)  # n^-1 mod (q-1)
 
     def __post_init__(self):
-        p, q, n = self.p, self.q, self.public.n
-        q_inv = nt.mod_inv(q, p)
+        p, q, g = self.p, self.q, self.g
+        if p == q:
+            raise DomainError("primes must be distinct")
+        public = PublicKey(n=p * q, g=g)
+        n = public.n
+        lam = math.lcm(p - 1, q - 1)
+        common = math.gcd(n, lam)
+        if common != 1:
+            raise DomainError(f"gcd(n, lambda) = {common} != 1; key unusable")
         p_inv = nt.mod_inv(p, q)
+        # L(g^lam mod n^2) = l * k / other (mod prime) for l = L_prime(g^(prime-1)
+        # mod prime^2) and k = lam/(prime-1), a unit as gcd(n, lam) = 1. One
+        # inverse of l*k gives both h = l^-1 and mu modulo prime.
+        h, mu_parts = [], []
+        for prime, other in ((p, q), (q, p)):
+            l_value = nt.l_function(pow(g, prime - 1, prime * prime), prime)
+            k = lam // (prime - 1)
+            try:
+                inverse = nt.mod_inv(l_value * k, prime)
+            except NotInvertible:
+                raise DomainError(f"{g} is not a residue base for n={n}") from None
+            h.append(inverse * k % prime)
+            mu_parts.append(inverse * other % prime)
         # one Newton step lifts p^-1 from mod q to mod q^2
         p_inv_lifted = p_inv * (2 - p * p_inv) % (q * q)
-        # mu = L(g^lam)^-1 and L(g^lam) = L_p(g^(p-1)) * lam/(p-1) / q (mod p),
-        # so h_p follows from mu without a pow; likewise h_q.
         derived = {
+            "public": public,
+            "lam": lam,
+            "mu": _crt(p, q, p_inv, *mu_parts),
             "p_squared": p * p,
             "q_squared": q * q,
-            "h_p": self.mu * (self.lam // (p - 1)) * q_inv % p,
-            "h_q": self.mu * (self.lam // (q - 1)) * p_inv % q,
+            "h_p": h[0],
+            "h_q": h[1],
             "p_inv": p_inv,
             "p_squared_inv": p_inv_lifted * p_inv_lifted % (q * q),
             "d_p": nt.mod_inv(n, p - 1),
@@ -145,29 +168,6 @@ def _crt(p: int, q: int, p_inv: int, r_p: int, r_q: int) -> int:
     return r_p + p * ((r_q - r_p) * p_inv % q)
 
 
-def derive_key(p: int, q: int, g: int) -> PrivateKey:
-    """The key with primes p, q and residue base g.
-
-    The one derivation behind keygen, from_primes and keyfile.parse_key.
-    mu = L(g^lam mod n^2)^-1 mod n is computed modulo p and modulo q, at one
-    pow mod p^2 and one mod q^2 whatever the base. Raises DomainError
-    unless g is a residue base; p and q are trusted to be distinct primes.
-    """
-    pk = PublicKey(n=p * q, g=g)
-    lam = math.lcm(p - 1, q - 1)
-    mu_parts = []
-    for prime, other in ((p, q), (q, p)):
-        l_value = nt.l_function(pow(g, prime - 1, prime * prime), prime)
-        # L(g^lam mod n^2) = l_value * lam/(prime-1) / other  (mod prime)
-        try:
-            inverse = nt.mod_inv(l_value * (lam // (prime - 1)), prime)
-        except NotInvertible:
-            raise DomainError(f"{g} is not a residue base for n={pk.n}") from None
-        mu_parts.append(other * inverse % prime)
-    mu = _crt(p, q, nt.mod_inv(p, q), *mu_parts)
-    return PrivateKey(p=p, q=q, lam=lam, mu=mu, public=pk)
-
-
 def keygen(
     bits: int,
     base_strategy: BaseStrategy = BaseStrategy.SAFE_DEFAULT,
@@ -175,26 +175,23 @@ def keygen(
 ) -> PrivateKey:
     """Generate a fresh key with two distinct ``bits``-bit primes.
 
-    Retries until gcd(n, lambda) = 1, which guarantees the principal n-th
-    root exponent 1/n mod lambda exists (the trapdoor permutation and the
-    signature both need it). Same-length primes make the retry rare.
+    Redraws both primes only if they are equal. Primes of the same bit
+    length always give gcd(n, lambda) = 1: a prime q < 2p cannot be
+    1 mod p, so the principal n-th root exponent 1/n mod lambda that the
+    trapdoor permutation and the signature need always exists.
     """
     if bits < 4:
         raise DomainError("need at least 4 bits per prime")
-    while True:
+    p = q = 0
+    while p == q:
         p = nt.gen_prime(bits, rng)
         q = nt.gen_prime(bits, rng)
-        if p == q:
-            continue
-        if math.gcd(p * q, math.lcm(p - 1, q - 1)) != 1:
-            continue
-        break
     n = p * q
     if base_strategy is BaseStrategy.SAFE_DEFAULT:
-        return derive_key(p, q, n + 1)
+        return PrivateKey(p, q, n + 1)
     for _ in range(_RANDOM_BASE_ATTEMPTS):
         try:
-            return derive_key(p, q, nt.random_unit(n * n, rng))
+            return PrivateKey(p, q, nt.random_unit(n * n, rng))
         except DomainError:
             continue
     raise InternalError(f"no residue base found in {_RANDOM_BASE_ATTEMPTS} draws")
@@ -203,19 +200,13 @@ def keygen(
 def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
     """Key from explicit primes; meant for toy moduli in tests and demos.
 
-    ``g`` defaults to n + 1. Rejects prime pairs with gcd(n, lambda) != 1
-    (e.g. p=3, q=7), for which no valid residue base exists.
+    ``g`` defaults to n + 1. Raises DomainError unless p and q pass
+    ``is_probable_prime`` and PrivateKey accepts them (p=3, q=7 it does not).
     """
-    if p == q:
-        raise DomainError("primes must be distinct")
     for candidate in (p, q):
         if not nt.is_probable_prime(candidate, nt.DEFAULT_MR_ROUNDS):
             raise DomainError(f"{candidate} is not prime")
-    n = p * q
-    lam = math.lcm(p - 1, q - 1)
-    if math.gcd(n, lam) != 1:
-        raise DomainError(f"gcd(n, lambda) = {math.gcd(n, lam)} != 1; key unusable")
-    return derive_key(p, q, n + 1 if g is None else g)
+    return PrivateKey(p, q, p * q + 1 if g is None else g)
 
 
 def _check_plaintext(pk: PublicKey, m: int) -> None:
@@ -406,8 +397,7 @@ def rerandomize(
     _check_key(pk, c)
     rng = rng if rng is not None else nt.system_random()
     if mode is SelfBlindMode.UNIT_POWER:
-        x = nt.random_unit(pk.n, rng)
-        factor = pow(x, pk.n, pk.n_squared)
+        factor = _nth_power(pk, nt.random_unit(pk.n, rng))
     else:
         r = rng.randrange(1, pk.n)
         factor = _pow_g(pk, pk.n * r)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from . import numtheory as nt
 from .errors import InternalError, NotSignable
-from .paillier import PrivateKey, PublicKey, _is_unit, _raw_encrypt, split_residue
+from .paillier import PrivateKey, PublicKey, _is_unit, _nth_power, _raw_encrypt, split_residue
 
 _HASH_ATTEMPTS = 256
 
@@ -97,7 +97,7 @@ def blind(
     """Multiply m by a fresh x^n so a signer never sees m itself."""
     _check_signable(pk, m)
     x = nt.random_unit(pk.n, rng)
-    blinded = m * pow(x, pk.n, pk.n_squared) % pk.n_squared
+    blinded = m * _nth_power(pk, x) % pk.n_squared
     return blinded, BlindingSecret(x=x, x_inv=nt.mod_inv(x, pk.n))
 
 

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -157,7 +158,7 @@ def test_blind_sign_unblind_matches_direct(keypair, tmp_path):
 def test_tp_encrypt_decrypt_roundtrip(keypair):
     # a wide message: quotient must be >= 1 and coprime to n, so pick
     # something comfortably above the modulus
-    pub = open(f"{keypair}.pub").read()
+    pub = Path(f"{keypair}.pub").read_text()
     assert pub.startswith("paillier-public")
     message = format(3 << 64 | 12345, "x")
     encrypted = run_cli("tp-encrypt", "--key", f"{keypair}.pub", "--message", message)
@@ -242,7 +243,7 @@ def test_three_pass_over_tcp(keypair):
 
 
 def test_parallel_listener_prints_whole_lines(keypair):
-    sk = keyfile.parse_key(open(f"{keypair}.key", "rb").read())
+    sk = keyfile.parse_key(Path(f"{keypair}.key").read_bytes())
     clients, per_client = 4, 25
     # A tiny switch interval makes the listener's session threads preempt
     # each other often, so unsynchronised printing would split lines.

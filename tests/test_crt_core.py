@@ -129,6 +129,7 @@ def test_derived_fields_stay_out_of_repr_and_equality():
     assert repr(sk) == f"<PrivateKey for {sk.public!r}>"
     derived = [f for f in dataclasses.fields(sk) if not f.init]
     assert [f.name for f in derived] == [
-        "p_squared", "q_squared", "h_p", "h_q", "p_inv", "p_squared_inv", "d_p", "d_q",
+        "public", "lam", "mu", "p_squared", "q_squared", "h_p", "h_q", "p_inv",
+        "p_squared_inv", "d_p", "d_q",
     ]
     assert not any(f.repr or f.compare for f in derived)

@@ -98,8 +98,26 @@ def test_private_key_revalidated_on_parse():
         keyfile.parse_key(_private_body(21, 16, 3, 5, 4, 4))
 
 
+# Fields (n, g, p, q, lambda, mu) that agree with PrivateKey(p, q, g) but
+# whose p is composite: 9, and a product of two 32-bit primes
+_COMPOSITE_P, _COMPOSITE_Q = 3244611641 * 2821154957, 17429142207974170187
+_COMPOSITE_N = _COMPOSITE_P * _COMPOSITE_Q
+CONSISTENT_COMPOSITE_FIELDS = (
+    (45, 46, 9, 5, 8, 17),
+    (
+        _COMPOSITE_N,
+        _COMPOSITE_N + 1,
+        _COMPOSITE_P,
+        _COMPOSITE_Q,
+        79769281627728751760710098088835122548,
+        129231513909504256253565994893127162445,
+    ),
+)
+
+
 def test_private_key_degenerate_fields_rejected():
-    # p = q = 1, p = 1, p = q, a composite factor, g >= n^2, g no residue base
+    # p = q = 1, p = 1, p = q, a composite factor with a wrong mu, g >= n^2,
+    # g no residue base, then composite factors with consistent fields
     for fields in (
         (1, 2, 1, 1, 0, 0),
         (15, 16, 1, 15, 0, 4),
@@ -107,9 +125,18 @@ def test_private_key_degenerate_fields_rejected():
         (45, 46, 9, 5, 8, 4),
         (15, 241, 3, 5, 4, 4),
         (15, 7, 3, 5, 4, 4),
-    ):
+    ) + CONSISTENT_COMPOSITE_FIELDS:
         with pytest.raises(ParseError):
             keyfile.parse_key(_private_body(*fields))
+
+
+def test_composite_factor_rejected_as_not_prime():
+    # PrivateKey trusts its primes, so only parse_key's own test stops these
+    for n, g, p, q, lam, mu in CONSISTENT_COMPOSITE_FIELDS:
+        key = paillier.PrivateKey(p, q, g)
+        assert (key.public.n, key.lam, key.mu) == (n, lam, mu)
+        with pytest.raises(ParseError, match="factor p is not prime"):
+            keyfile.parse_key(_private_body(n, g, p, q, lam, mu))
 
 
 # serialize_key output of seeded keys, pinned so the format stays bit-exact

@@ -10,7 +10,12 @@ from p3p import numtheory as nt
 from p3p.errors import DomainError, NotInvertible
 
 from conftest import ScriptedRandom
-from oracles import egcd_inverse, textbook_gen_prime, trial_division_is_prime
+from oracles import (
+    egcd_inverse,
+    strong_probable_prime,
+    textbook_gen_prime,
+    trial_division_is_prime,
+)
 
 SIEVE_LIMIT = 2**16
 # The primes the gcd sieve divides out: those in (1000, 2^16).
@@ -105,6 +110,18 @@ def test_semiprimes_of_sieve_primes_are_rejected():
         p, q = rng.choice(SIEVE_PRIMES), rng.choice(SIEVE_PRIMES)
         assert not nt.is_probable_prime(p * q, 20), (p, q)
         assert not nt.is_probable_prime(p * (2**127 - 1), 20), p
+
+
+def test_base_2_round_matches_the_oracle_and_misses_only_pseudoprimes():
+    passed = [n for n in range(20000) if nt.is_base2_probable_prime(n)]
+    oracle = [2] + [n for n in range(3, 20000, 2) if strong_probable_prime(n, 2)]
+    assert passed == oracle
+    # the strong base-2 pseudoprimes below 20000 pass; every prime does
+    pseudoprimes = [n for n in passed if not trial_division_is_prime(n)]
+    assert pseudoprimes == [2047, 3277, 4033, 4681, 8321, 15841]
+    assert len(passed) - len(pseudoprimes) == sum(map(trial_division_is_prime, range(20000)))
+    assert nt.is_base2_probable_prime(2**127 - 1)
+    assert not nt.is_base2_probable_prime(2**128 - 1)
 
 
 def hac_448_bound(k, t):

@@ -14,7 +14,12 @@ from p3p.errors import (
 from p3p.paillier import BaseStrategy, Ciphertext, SelfBlindMode
 
 from conftest import KEY15, KEY35, ScriptedRandom
-from oracles import brute_force_class, textbook_is_residue_base, units
+from oracles import (
+    brute_force_class,
+    textbook_is_residue_base,
+    trial_division_is_prime,
+    units,
+)
 
 PK15 = KEY15.public
 PK35 = KEY35.public
@@ -65,21 +70,42 @@ def test_from_primes_validation():
 
 
 def test_validate_residue_base_known_values():
-    # The residue-base check lives in derive_key.
+    # The residue-base check is PrivateKey's own.
     assert textbook_is_residue_base(3, 5, 16)
-    assert paillier.derive_key(3, 5, 16) == KEY15
+    assert paillier.PrivateKey(3, 5, 16) == KEY15
     assert not textbook_is_residue_base(3, 5, 7)
     with pytest.raises(DomainError, match="not a residue base"):
-        paillier.derive_key(3, 5, 7)
+        paillier.PrivateKey(3, 5, 7)
     for key in (KEY15, KEY35):
-        assert paillier.derive_key(key.p, key.q, key.public.n + 1) == key
+        assert paillier.PrivateKey(key.p, key.q, key.public.n + 1) == key
+
+
+def test_equal_length_primes_always_build_a_key():
+    # keygen draws no second pair on gcd(n, lambda): a prime q < 2p is
+    # never 1 mod p, so equal-length primes always pass that check
+    for bits in range(4, 11):
+        primes = [x for x in range(1 << (bits - 1), 1 << bits) if trial_division_is_prime(x)]
+        for i, p in enumerate(primes):
+            for q in primes[i + 1 :]:
+                key = paillier.PrivateKey(p, q, p * q + 1)
+                n, n_squared = key.public.n, key.public.n_squared
+                assert math.gcd(n, key.lam) == 1
+                assert key.mu * (pow(n + 1, key.lam, n_squared) - 1) // n % n == 1
+
+
+def test_private_key_rejects_unusable_primes():
+    with pytest.raises(DomainError, match="distinct"):
+        paillier.PrivateKey(3, 3, 10)
+    for p, q in ((3, 7), (1, 15)):
+        with pytest.raises(DomainError, match="lambda"):
+            paillier.PrivateKey(p, q, p * q + 1)
 
 
 def test_validate_residue_base_rejects_non_unit():
     with pytest.raises(DomainError, match="not a unit"):
-        paillier.derive_key(3, 5, 15)
+        paillier.PrivateKey(3, 5, 15)
     with pytest.raises(DomainError, match="not a unit"):
-        paillier.derive_key(3, 5, 0)
+        paillier.PrivateKey(3, 5, 0)
     # the check is PublicKey's own, so a key without primes gets it too
     for g in (0, 15, 225, 226):
         with pytest.raises(DomainError, match="not a unit"):
@@ -95,7 +121,7 @@ def test_derive_key_accepts_exactly_the_textbook_residue_bases():
         accepted = 0
         for g in range(n_squared + 1):
             try:
-                derived = paillier.derive_key(p, q, g)
+                derived = paillier.PrivateKey(p, q, g)
             except DomainError:
                 assert not textbook_is_residue_base(p, q, g), g
                 continue

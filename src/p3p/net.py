@@ -7,10 +7,11 @@ randomness). Each outcome records the raw frames in conversation order
 for transcript comparison.
 
 A malformed or unexpected frame makes the runner send a best-effort ERROR
-frame, close, and raise ProtocolError; a silent peer raises
-ProtocolTimeout after the channel's timeout. Over TCP that timeout is a
-deadline for the whole conversation, so a peer that sends slowly cannot
-hold a session open either.
+frame and raise ProtocolError; a silent peer raises ProtocolTimeout after
+the channel's timeout. Over TCP that timeout is a deadline for the whole
+conversation, so a peer that sends slowly cannot hold a session open
+either. The runners never close their channel: the caller that opened it
+closes it, on every path.
 """
 
 import queue
@@ -167,27 +168,34 @@ def _abort(channel, reason: str) -> ProtocolError:
         channel.send(encode_msg(error_message(reason)))
     except Exception:
         pass  # peer may already be gone; the local error is what matters
-    channel.close()
     return ProtocolError(reason)
 
 
 def _recv_expect(
-    channel, frames: list, expected: MsgType, pk: PublicKey | None
+    channel, frames: list, expected: MsgType, pk: PublicKey
 ) -> WireMessage:
     frame = channel.recv()
     frames.append(frame)
     try:
         msg = decode_msg(frame, pk)
     except (ParseError, RangeError) as exc:
-        raise _abort(channel, f"bad frame: {exc}") from exc
+        raise MalformedMessage(f"bad frame: {exc}") from exc
     if msg.msg_type is MsgType.ERROR:
-        channel.close()
         raise ProtocolError(f"peer reported: {msg.error_text}")
     if msg.msg_type is not expected:
-        raise _abort(
-            channel, f"expected {expected.name}, got {msg.msg_type.name}"
-        )
+        raise MalformedMessage(f"expected {expected.name}, got {msg.msg_type.name}")
     return msg
+
+
+def _announced_key(frame: bytes) -> PublicKey:
+    try:
+        n, g = parse_key_announce(decode_msg(frame))
+    except ParseError as exc:
+        raise MalformedMessage(f"bad key announce: {exc}") from exc
+    try:
+        return PublicKey(n=n, g=g)
+    except DomainError as exc:
+        raise MalformedMessage("announced key is unusable") from exc
 
 
 def run_initiator(
@@ -198,17 +206,16 @@ def run_initiator(
     """Drive the sender side over an open channel."""
     pk = session.sk.public
     frames: list[bytes] = []
-    _send(channel, frames, key_announce(pk.n, pk.g))
-    pass1 = session.step1_send(rng)
-    _send(channel, frames, pass_message(MsgType.PASS1, pass1))
-    pass2 = _recv_expect(channel, frames, MsgType.PASS2, pk).value
     try:
+        _send(channel, frames, key_announce(pk.n, pk.g))
+        pass1 = session.step1_send(rng)
+        _send(channel, frames, pass_message(MsgType.PASS1, pass1))
+        pass2 = _recv_expect(channel, frames, MsgType.PASS2, pk).value
         pass3 = session.step3_reveal(pass2)
+        _send(channel, frames, pass_message(MsgType.PASS3, pass3))
     except MalformedMessage as exc:
         raise _abort(channel, str(exc)) from exc
-    _send(channel, frames, pass_message(MsgType.PASS3, pass3))
     session.mark_done()
-    channel.close()
     return InitiatorOutcome(
         pass1=pass1, pass2=pass2, pass3=pass3, frames=tuple(frames)
     )
@@ -221,31 +228,18 @@ def run_responder(
 ) -> ResponderOutcome:
     """Drive the receiver side; returns the recovered message."""
     frames: list[bytes] = []
-    announce_frame = channel.recv()
-    frames.append(announce_frame)
     try:
-        announce = decode_msg(announce_frame)
-        n, g = parse_key_announce(announce)
-    except ParseError as exc:
-        raise _abort(channel, f"bad key announce: {exc}") from exc
-    try:
-        pk = PublicKey(n=n, g=g)
-    except DomainError as exc:
-        raise _abort(channel, "announced key is unusable") from exc
-    session = PaillierResponderSession(pk, hardened=hardened)
-    session.choose_secret(rng)  # while the initiator encrypts pass 1
-    pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value
-    try:
+        frames.append(channel.recv())
+        pk = _announced_key(frames[0])
+        session = PaillierResponderSession(pk, hardened=hardened)
+        session.choose_secret(rng)  # while the initiator encrypts pass 1
+        pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value
         pass2 = session.step2_respond(pass1, rng)
-    except MalformedMessage as exc:
-        raise _abort(channel, str(exc)) from exc
-    _send(channel, frames, pass_message(MsgType.PASS2, pass2))
-    pass3 = _recv_expect(channel, frames, MsgType.PASS3, pk).value
-    try:
+        _send(channel, frames, pass_message(MsgType.PASS2, pass2))
+        pass3 = _recv_expect(channel, frames, MsgType.PASS3, pk).value
         recovered = session.step4_recover(pass3)
     except MalformedMessage as exc:
         raise _abort(channel, str(exc)) from exc
-    channel.close()
     return ResponderOutcome(
         recovered=recovered,
         pass1=pass1,
@@ -293,30 +287,32 @@ def serve_three_pass(
     thread (sessions stay fully independent -- no state is shared).
     ``rng_factory`` maps the 0-based session index to a RandomSource, which
     keeps seeded runs deterministic per session. ``on_outcome`` runs once
-    per completed session, never for two sessions at once. A failed
-    session does not stop the others: after all ``sessions`` have run, the
-    first failure is raised. ``timeout`` bounds each session from its
+    per completed session, never for two sessions at once; the outcomes are
+    returned only when it is not given. A failed session, including one
+    whose ``on_outcome`` raised, does not stop the others: after all
+    ``sessions`` have run, the first failure is raised. Nothing of a session
+    is kept once it has ended and been reported, so memory does not grow
+    with the sessions served. ``timeout`` bounds each session from its
     accept; waiting for a connection is not bounded.
     """
     outcomes: list[ResponderOutcome] = []
-    failures: list[Exception] = []
+    report = on_outcome or outcomes.append
+    failures: list[Exception] = []  # the first failure only
     lock = threading.Lock()
 
     def handle(conn: socket.socket, index: int) -> None:
         channel = SocketChannel(conn, timeout=timeout)
-        rng = rng_factory(index) if rng_factory else None
         try:
+            rng = rng_factory(index) if rng_factory else None
             outcome = run_responder(channel, rng=rng, hardened=hardened)
+            with lock:
+                report(outcome)
         except Exception as exc:
             with lock:
-                failures.append(exc)
-            return
+                if not failures:
+                    failures.append(exc)
         finally:
             channel.close()
-        with lock:
-            outcomes.append(outcome)
-            if on_outcome:
-                on_outcome(outcome)
 
     with socket.create_server((host, port)) as server:
         if on_listening:
@@ -326,6 +322,7 @@ def serve_three_pass(
             for index in range(sessions):
                 conn, _ = server.accept()
                 if parallel:
+                    workers = [w for w in workers if w.is_alive()]
                     worker = threading.Thread(
                         target=handle, args=(conn, index), daemon=True
                     )

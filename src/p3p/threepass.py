@@ -34,6 +34,14 @@ class ResponderState(enum.Enum):
     DONE = "done"
 
 
+def _require(role: str, state: enum.Enum, needed: enum.Enum) -> None:
+    """The one order check: a step runs only from the state it needs."""
+    if state is not needed:
+        raise ProtocolOrderViolation(
+            f"{role} is {state.value}, step needs {needed.value}"
+        )
+
+
 class PaillierInitiatorSession:
     """Sender role: owns the keypair and the message to deliver."""
 
@@ -43,16 +51,10 @@ class PaillierInitiatorSession:
         self.message = message
         self.state = InitiatorState.CREATED
 
-    def _advance(self, expected: InitiatorState, new: InitiatorState) -> None:
-        if self.state is not expected:
-            raise ProtocolOrderViolation(
-                f"initiator is {self.state.value}, step needs {expected.value}"
-            )
-        self.state = new
-
     def step1_send(self, rng: nt.RandomSource | None = None) -> int:
         """First pass: a fresh ciphertext of the message."""
-        self._advance(InitiatorState.CREATED, InitiatorState.SENT_M1)
+        _require("initiator", self.state, InitiatorState.CREATED)
+        self.state = InitiatorState.SENT_M1
         return encrypt(self.sk, self.message, rng).value
 
     def step3_reveal(self, second_pass: int) -> int:
@@ -61,10 +63,7 @@ class PaillierInitiatorSession:
         The result is message * m2 mod n, a blinding of the message by the
         responder's secret m2.
         """
-        if self.state is not InitiatorState.SENT_M1:
-            raise ProtocolOrderViolation(
-                f"initiator is {self.state.value}, step needs sent-m1"
-            )
+        _require("initiator", self.state, InitiatorState.SENT_M1)
         if not _is_unit(self.sk.public, second_pass):
             raise MalformedMessage("second pass is not a unit modulo n^2")
         self.state = InitiatorState.SENT_M3
@@ -72,7 +71,8 @@ class PaillierInitiatorSession:
 
     def mark_done(self) -> None:
         """Record that the third pass was delivered (transport's call)."""
-        self._advance(InitiatorState.SENT_M3, InitiatorState.DONE)
+        _require("initiator", self.state, InitiatorState.SENT_M3)
+        self.state = InitiatorState.DONE
 
 
 class PaillierResponderSession:
@@ -93,7 +93,8 @@ class PaillierResponderSession:
 
     def choose_secret(self, rng: nt.RandomSource | None = None) -> None:
         """Draw the secret m2; it depends only on the key, not on the first pass."""
-        if self.state is not ResponderState.CREATED or self._m2 is not None:
+        _require("responder", self.state, ResponderState.CREATED)
+        if self._m2 is not None:
             raise ProtocolOrderViolation("responder secret is already chosen")
         pk = self.pk
         if self.hardened:
@@ -106,10 +107,7 @@ class PaillierResponderSession:
     def step2_respond(self, first_pass: int, rng: nt.RandomSource | None = None) -> int:
         """Second pass: raise the initiator's ciphertext to the secret m2,
         drawn here from ``rng`` unless choose_secret already drew it."""
-        if self.state is not ResponderState.CREATED:
-            raise ProtocolOrderViolation(
-                f"responder is {self.state.value}, step needs created"
-            )
+        _require("responder", self.state, ResponderState.CREATED)
         if not _is_unit(self.pk, first_pass):
             raise MalformedMessage("first pass is not a unit modulo n^2")
         if self._m2 is None:
@@ -119,10 +117,7 @@ class PaillierResponderSession:
 
     def step4_recover(self, third_pass: int) -> int:
         """Divide the secret back out of the revealed product."""
-        if self.state is not ResponderState.SENT_M2:
-            raise ProtocolOrderViolation(
-                f"responder is {self.state.value}, step needs sent-m2"
-            )
+        _require("responder", self.state, ResponderState.SENT_M2)
         if not 0 <= third_pass < self.pk.n:
             raise MalformedMessage(
                 f"third pass must be below n, got {third_pass}"

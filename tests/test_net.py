@@ -1,8 +1,10 @@
+import gc
 import hashlib
 import random
 import socket
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -274,6 +276,109 @@ def test_serve_keeps_serving_after_a_failed_session(parallel):
     assert recovered == [12]
     assert "outcomes" not in result
     assert isinstance(result["error"], ProtocolError)
+    assert "bad key announce" in str(result["error"])
+
+
+def start_listener(result, **options):
+    """Run serve_three_pass in a thread; its return or raise lands in ``result``."""
+    listening = threading.Event()
+    port_holder = {}
+
+    def on_listening(port):
+        port_holder["port"] = port
+        listening.set()
+
+    def server():
+        try:
+            result["outcomes"] = net.serve_three_pass(
+                port=0, timeout=10.0, on_listening=on_listening, **options
+            )
+        except Exception as exc:
+            result["error"] = exc
+
+    worker = threading.Thread(target=server)
+    worker.start()
+    assert listening.wait(5.0)
+    return worker, port_holder["port"]
+
+
+def send_garbage(port):
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as bad:
+        bad.sendall(b"\x00" * 32)
+        bad.recv(1024)  # the responder's ERROR frame
+        bad.recv(1024)  # b"": the responder has closed the connection
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_a_raising_report_is_only_that_sessions_failure(parallel):
+    result = {}
+    recovered = []
+
+    def report(outcome):
+        if outcome.recovered == 5:
+            raise ValueError("report failed")
+        recovered.append(outcome.recovered)
+
+    worker, port = start_listener(
+        result, sessions=2, parallel=parallel, on_outcome=report
+    )
+    for message in (5, 12):
+        session = PaillierInitiatorSession(KEY15, message)
+        net.send_over_tcp("127.0.0.1", port, session, timeout=10.0)
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert recovered == [12]
+    assert "outcomes" not in result
+    assert isinstance(result["error"], ValueError)
+
+
+def announce_failures():
+    gc.collect()
+    return sum(
+        isinstance(obj, ProtocolError) and "bad key announce" in str(obj)
+        for obj in gc.get_objects()
+    )
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_listener_keeps_nothing_of_finished_sessions(parallel):
+    garbage, honest = 3, 10
+    failures_before = announce_failures()
+    result = {}
+    outcomes = []  # weak references, one per reported session
+    workers = []
+    seen = {}
+    reported = threading.Event()
+
+    def report(outcome):
+        if len(outcomes) == honest - 1:
+            seen["failures"] = announce_failures() - failures_before
+            seen["outcomes"] = sum(ref() is not None for ref in outcomes)
+            seen["workers"] = sum(ref() is not None for ref in workers)
+        outcomes.append(weakref.ref(outcome))
+        if parallel:
+            workers.append(weakref.ref(threading.current_thread()))
+        reported.set()
+
+    worker, port = start_listener(
+        result, sessions=garbage + honest, parallel=parallel, on_outcome=report
+    )
+    for _ in range(garbage):
+        send_garbage(port)
+    for message in range(honest):
+        reported.clear()
+        session = PaillierInitiatorSession(KEY15, message)
+        net.send_over_tcp("127.0.0.1", port, session, timeout=10.0)
+        assert reported.wait(5.0)
+        if parallel:  # let its thread end before the next accept; keep no reference
+            finished = workers[-1]()
+            if finished is not None:
+                finished.join(5.0)
+            del finished
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert seen == {"failures": 1, "outcomes": 0, "workers": 0}
+    assert "outcomes" not in result
     assert "bad key announce" in str(result["error"])
 
 

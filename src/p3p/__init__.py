@@ -6,73 +6,60 @@ signatures, :mod:`p3p.threepass` both no-key protocols, and
 :mod:`p3p.keyfile` / :mod:`p3p.wire` / :mod:`p3p.net` the serialization
 and transport around them. Nothing here is constant-time or
 authenticated; see the README before pointing it at anything real.
+
+The names below are re-exported lazily (PEP 562): a module is imported on
+the first access to one of its names, so ``import p3p.cli`` loads only
+what a command runs. Each access reads the home module's attribute, so
+``p3p.decrypt is p3p.paillier.decrypt`` holds even after the attribute
+is replaced.
 """
 
-from .errors import P3PError
-from .paillier import (
-    BaseStrategy,
-    Ciphertext,
-    PrivateKey,
-    PublicKey,
-    SelfBlindMode,
-    add_plaintext,
-    decrypt,
-    encrypt,
-    encrypt_with_nonce,
-    extract_class,
-    extract_residue,
-    from_primes,
-    homomorphic_add,
-    keygen,
-    rerandomize,
-    scalar_mul,
-    split_residue,
-)
-from .signature import Signature, blind, sign, sign_raw, unblind, verify, verify_message
-from .threepass import (
-    PaillierInitiatorSession,
-    PaillierResponderSession,
-    ShamirParty,
-    shamir_exchange,
-    shamir_keygen,
-)
-from .trapdoor import WideMessage, decompose, tp_decrypt, tp_encrypt
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BaseStrategy",
-    "Ciphertext",
-    "P3PError",
-    "PaillierInitiatorSession",
-    "PaillierResponderSession",
-    "PrivateKey",
-    "PublicKey",
-    "SelfBlindMode",
-    "ShamirParty",
-    "Signature",
-    "WideMessage",
-    "add_plaintext",
-    "blind",
-    "decompose",
-    "decrypt",
-    "encrypt",
-    "encrypt_with_nonce",
-    "extract_class",
-    "extract_residue",
-    "from_primes",
-    "homomorphic_add",
-    "keygen",
-    "rerandomize",
-    "scalar_mul",
-    "shamir_exchange",
-    "shamir_keygen",
-    "sign",
-    "sign_raw",
-    "split_residue",
-    "tp_decrypt",
-    "tp_encrypt",
-    "unblind",
-    "verify",
-    "verify_message",
-]
+_EXPORTS = {
+    "errors": ("P3PError",),
+    "paillier": (
+        "BaseStrategy",
+        "Ciphertext",
+        "PrivateKey",
+        "PublicKey",
+        "SelfBlindMode",
+        "add_plaintext",
+        "decrypt",
+        "encrypt",
+        "encrypt_with_nonce",
+        "extract_class",
+        "extract_residue",
+        "from_primes",
+        "homomorphic_add",
+        "keygen",
+        "rerandomize",
+        "scalar_mul",
+        "split_residue",
+    ),
+    "signature": ("Signature", "blind", "sign", "sign_raw", "unblind", "verify", "verify_message"),
+    "threepass": (
+        "PaillierInitiatorSession",
+        "PaillierResponderSession",
+        "ShamirParty",
+        "shamir_exchange",
+        "shamir_keygen",
+    ),
+    "trapdoor": ("WideMessage", "decompose", "tp_decrypt", "tp_encrypt"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -7,6 +7,11 @@ the encoded integer does not fit. Any command that draws randomness is
 deterministic under --seed (or the P3P_SEED environment variable).
 
 Exit codes: 0 success, 1 usage, 2 crypto/protocol error.
+
+A command imports only the modules it runs: handlers import ``signature``,
+``trapdoor``, ``threepass`` and ``net`` themselves, so ``encrypt`` never
+loads sockets. They call through the module (``signature.sign(...)``), so
+a wrapper set on a module attribute after import still sees every call.
 """
 
 import argparse
@@ -14,10 +19,14 @@ import math
 import os
 import random
 import sys
+from typing import TYPE_CHECKING
 
-from . import keyfile, net, numtheory as nt, paillier, signature, threepass, trapdoor
+from . import keyfile, numtheory as nt, paillier
 from .encoding import int_to_bytes
 from .errors import P3PError
+
+if TYPE_CHECKING:
+    from .signature import Signature
 
 USAGE_EXIT = 1
 ERROR_EXIT = 2
@@ -122,16 +131,19 @@ def _load_private(path: str) -> paillier.PrivateKey:
 def _write(path: str, data: bytes, private: bool = False) -> None:
     # Private files are created 0600; chmod narrows one that already existed.
     mode = 0o600 if private else 0o666
-    with open(path, "wb", opener=lambda p, flags: os.open(p, flags, mode)) as fh:
-        if private:
-            try:
-                os.chmod(path, 0o600)
-            except OSError:
-                pass  # not every platform supports permission bits
-        fh.write(data)
+    try:
+        with open(path, "wb", opener=lambda p, flags: os.open(p, flags, mode)) as fh:
+            if private:
+                try:
+                    os.chmod(path, 0o600)
+                except OSError:
+                    pass  # not every platform supports permission bits
+            fh.write(data)
+    except OSError as exc:
+        raise P3PError(f"cannot write {path}: {exc}") from None
 
 
-def _write_signature(path: str, sig: signature.Signature) -> int:
+def _write_signature(path: str, sig: "Signature") -> int:
     _write(path, keyfile.serialize_signature(sig))
     print(f"wrote {path}")
     return 0
@@ -166,23 +178,31 @@ def _cmd_decrypt(args) -> int:
 
 
 def _cmd_tp_encrypt(args) -> int:
+    from . import trapdoor
+
     pk = _load_public(args.key)
     print(format(trapdoor.tp_encrypt(pk, _parse_int_arg(args.message, "message")).value, "x"))
     return 0
 
 
 def _cmd_tp_decrypt(args) -> int:
+    from . import trapdoor
+
     sk = _load_private(args.key)
     print(format(trapdoor.tp_decrypt(sk, _ciphertext_arg(args, sk)), "x"))
     return 0
 
 
 def _cmd_sign(args) -> int:
+    from . import signature
+
     sk = _load_private(args.key)
     return _write_signature(args.out, signature.sign(sk, _message_bytes(args)))
 
 
 def _cmd_verify(args) -> int:
+    from . import signature
+
     pk = _load_public(args.key)
     message = _message_bytes(args)
     sig = keyfile.parse_signature(_read(args.sig))
@@ -192,12 +212,16 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sign_raw(args) -> int:
+    from . import signature
+
     sk = _load_private(args.key)
     m = _parse_int_arg(args.message, "message")
     return _write_signature(args.out, signature.sign_raw(sk, m))
 
 
 def _cmd_blind(args) -> int:
+    from . import signature
+
     pk = _load_public(args.key)
     blinded, secret = signature.blind(
         pk, _parse_int_arg(args.message, "message"), _seed_rng(args)
@@ -208,6 +232,8 @@ def _cmd_blind(args) -> int:
 
 
 def _cmd_unblind(args) -> int:
+    from . import signature
+
     pk = _load_public(args.key)
     sig = keyfile.parse_signature(_read(args.sig))
     secret = keyfile.parse_blinding_secret(_read(args.secret), pk.n)
@@ -215,6 +241,8 @@ def _cmd_unblind(args) -> int:
 
 
 def _cmd_listen(args) -> int:
+    from . import net
+
     seed = _seed_value(args)
     net.serve_three_pass(
         port=args.port,
@@ -233,6 +261,8 @@ def _cmd_listen(args) -> int:
 
 
 def _cmd_send(args) -> int:
+    from . import net, threepass
+
     host, _, port_text = args.addr.rpartition(":")
     if not host:
         raise _UsageError("--addr must look like HOST:PORT")
@@ -250,6 +280,8 @@ def _cmd_send(args) -> int:
 
 
 def _cmd_shamir_demo(args) -> int:
+    from . import threepass
+
     rng = _seed_rng(args)
 
     def party(forced_e):
@@ -283,7 +315,7 @@ _SHARED = dict.fromkeys(
     "--seed": {"type": int, "default": None, "help": "deterministic randomness"},
     "--timeout": {
         "type": float,
-        "default": net.DEFAULT_TIMEOUT,
+        "default": 30.0,  # net.DEFAULT_TIMEOUT; building the parser must not import net
         "help": "seconds a whole three-pass session may take, once connected",
     },
 }

@@ -7,17 +7,23 @@ crashes) on anything else. A public key is accepted only if PublicKey
 accepts it. A private key is built again as PrivateKey(p, q, g), once
 n = p*q and p and q each pass one Miller-Rabin round to the base 2, and
 its lambda and mu must match the stored ones.
+
+Only the signature and blinding-secret parsers import :mod:`p3p.signature`,
+so reading a key does not load it.
 """
 
 import base64
 import binascii
 import math
+from typing import TYPE_CHECKING
 
 from . import numtheory as nt
 from .encoding import decode_uint, encode_uint
 from .errors import DomainError, NotInvertible, ParseError
 from .paillier import PrivateKey, PublicKey
-from .signature import BlindingSecret, Signature
+
+if TYPE_CHECKING:
+    from .signature import BlindingSecret, Signature
 
 PUBLIC_HEADER = "paillier-public-v1"
 PRIVATE_HEADER = "paillier-private-v1"
@@ -99,11 +105,13 @@ def parse_key(data: bytes) -> PublicKey | PrivateKey:
     raise ParseError(f"unknown header {header!r}", offset=0)
 
 
-def serialize_signature(sig: Signature) -> bytes:
+def serialize_signature(sig: "Signature") -> bytes:
     return _envelope(SIGNATURE_HEADER, encode_uint(sig.s1) + encode_uint(sig.s2))
 
 
-def parse_signature(data: bytes) -> Signature:
+def parse_signature(data: bytes) -> "Signature":
+    from .signature import Signature
+
     header, body = _open_envelope(data)
     if header != SIGNATURE_HEADER:
         raise ParseError(f"unknown header {header!r}", offset=0)
@@ -111,12 +119,14 @@ def parse_signature(data: bytes) -> Signature:
     return Signature(s1=s1, s2=s2)
 
 
-def serialize_blinding_secret(secret: BlindingSecret) -> bytes:
+def serialize_blinding_secret(secret: "BlindingSecret") -> bytes:
     # only x is stored; the inverse is recomputed against the key at unblind time
     return _envelope(BLINDING_HEADER, encode_uint(secret.x))
 
 
-def parse_blinding_secret(data: bytes, n: int) -> BlindingSecret:
+def parse_blinding_secret(data: bytes, n: int) -> "BlindingSecret":
+    from .signature import BlindingSecret
+
     header, body = _open_envelope(data)
     if header != BLINDING_HEADER:
         raise ParseError(f"unknown header {header!r}", offset=0)

@@ -293,7 +293,8 @@ def serve_three_pass(
     ``sessions`` have run, the first failure is raised. Nothing of a session
     is kept once it has ended and been reported, so memory does not grow
     with the sessions served. ``timeout`` bounds each session from its
-    accept; waiting for a connection is not bounded.
+    accept; waiting for a connection is not bounded. An address that
+    cannot be listened on raises ProtocolError.
     """
     outcomes: list[ResponderOutcome] = []
     report = on_outcome or outcomes.append
@@ -314,7 +315,11 @@ def serve_three_pass(
         finally:
             channel.close()
 
-    with socket.create_server((host, port)) as server:
+    try:
+        server = socket.create_server((host, port))
+    except OSError as exc:
+        raise ProtocolError(f"cannot listen on {host}:{port}: {exc}") from exc
+    with server:
         if on_listening:
             on_listening(server.getsockname()[1])
         workers = []

@@ -9,6 +9,7 @@ import sys
 import types
 from pathlib import Path
 
+from p3p import cli
 from p3p import numtheory as nt
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -66,3 +67,21 @@ def test_importing_the_cli_leaves_the_sieve_product_unbuilt():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "0"
+
+
+def test_tracer_sees_the_calls_of_a_lazily_importing_handler(tmp_path):
+    # The handlers import signature on first use and call through module
+    # attributes; a handler that bound a function before install() would
+    # keep the unwrapped one and zero its layer's counts in a traced run.
+    prefix = tmp_path / "k"
+    assert cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix)]) == 0
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        code = cli.main(["sign", "--key", f"{prefix}.key", "--message", "2a",
+                         "--out", str(tmp_path / "m.sig")])
+    finally:
+        uninstall()
+    assert code == 0
+    names = {span[2] for span in tracer.export()}
+    assert {"signature.sign_raw", "keyfile.parse_key", "numtheory.pow_n2"} <= names

@@ -2,6 +2,7 @@
 input files, exit codes and the permissions of private files."""
 
 import os
+import socket
 import stat
 
 import pytest
@@ -67,6 +68,38 @@ def test_unblind_missing_secret_file(keypair, tmp_path, capsys):
     assert code == 2
     assert "cannot read" in capsys.readouterr().err
     assert not (tmp_path / "m.sig").exists()
+
+
+def test_sign_to_missing_directory_is_an_error(keypair, tmp_path, capsys):
+    out = tmp_path / "missing" / "m.sig"
+    code = cli.main(["sign", "--key", f"{keypair}.key", "--message", "2a",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {out}: ")
+
+
+def test_keygen_to_missing_directory_is_an_error(tmp_path, capsys):
+    prefix = tmp_path / "missing" / "k"
+    code = cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot write {prefix}.pub: ")
+
+
+def test_listen_on_a_port_in_use_is_an_error(capsys):
+    held = socket.create_server(("127.0.0.1", 0))
+    try:
+        port = held.getsockname()[1]
+        code = cli.main(["3pass-listen", "--port", str(port)])
+    finally:
+        held.close()
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
 
 
 def test_send_rejects_address_without_port(keypair, capsys):

@@ -11,7 +11,7 @@ import random
 import threading
 
 import p3p
-from p3p import net
+from p3p import net, numtheory as nt
 from p3p.threepass import PaillierInitiatorSession
 
 
@@ -20,13 +20,14 @@ def main():
     parser.add_argument("--bits", type=int, default=256, help="modulus size")
     parser.add_argument("--message", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--plain", action="store_true", help="skip hardened blinding")
     args = parser.parse_args()
 
-    rng = random.Random(args.seed) if args.seed is not None else None
+    # The responder gets a seed of its own: it draws in another thread.
+    seeded = args.seed is not None
+    rng = random.Random(args.seed) if seeded else nt.system_random()
     print(f"generating a {args.bits}-bit key ...")
     sk = p3p.keygen(args.bits // 2, rng=rng)
-    message = args.message if args.message is not None else random.randrange(sk.public.n)
+    message = args.message if args.message is not None else rng.randrange(sk.public.n)
     print(f"message  = {message:#x}")
 
     listening = threading.Event()
@@ -40,9 +41,8 @@ def main():
         target=lambda: holder.update(
             outcomes=net.serve_three_pass(
                 port=0,
-                hardened=not args.plain,
+                seed=args.seed + 1 if seeded else None,
                 on_listening=on_listening,
-                rng_factory=lambda i: rng,
             )
         )
     )

@@ -4,7 +4,8 @@ networked three-pass protocol.
 Messages on the command line are hex-encoded residues by default; --text
 switches to UTF-8 and, where the message must live in Z_n, errors out if
 the encoded integer does not fit. Any command that draws randomness is
-deterministic under --seed (or the P3P_SEED environment variable).
+deterministic under --seed and draws from OS entropy without it;
+3pass-listen --seed S seeds its session i with S + i.
 
 Exit codes: 0 success, 1 usage, 2 crypto/protocol error.
 
@@ -45,21 +46,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
-def _seed_value(args) -> int | None:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("P3P_SEED")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError("P3P_SEED must be an integer") from None
-    return None
-
-
 def _seed_rng(args) -> nt.RandomSource | None:
-    seed = _seed_value(args)
-    return random.Random(seed) if seed is not None else None
+    return None if args.seed is None else random.Random(args.seed)
 
 
 def _parse_int_arg(text: str, what: str) -> int:
@@ -243,15 +231,13 @@ def _cmd_unblind(args) -> int:
 def _cmd_listen(args) -> int:
     from . import net
 
-    seed = _seed_value(args)
     net.serve_three_pass(
         port=args.port,
         host=args.host,
         sessions=args.count,
         parallel=args.parallel,
-        hardened=not args.plain,
         timeout=args.timeout,
-        rng_factory=None if seed is None else lambda index: random.Random(seed + index),
+        seed=args.seed,
         on_listening=lambda port: print(f"listening {args.host}:{port}", flush=True),
         on_outcome=lambda outcome: print(
             f"recovered {_int_out(args, outcome.recovered)}", flush=True
@@ -346,7 +332,6 @@ _COMMANDS = (
     ("3pass-listen", "run the responder on a TCP port", _cmd_listen, [
         ("--port", {"type": int, "required": True, "help": "0 picks a free port"}),
         ("--host", {"default": "127.0.0.1"}),
-        ("--plain", {"action": "store_true", "help": "disable hardened blinding"}),
         ("--count", {"type": int, "default": 1, "help": "sessions to serve"}),
         ("--parallel", {"action": "store_true"}),
         "--timeout", "--text", "--seed",

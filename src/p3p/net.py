@@ -15,6 +15,7 @@ closes it, on every path.
 """
 
 import queue
+import random
 import socket
 import threading
 import time
@@ -222,16 +223,14 @@ def run_initiator(
 
 
 def run_responder(
-    channel,
-    rng: nt.RandomSource | None = None,
-    hardened: bool = True,
+    channel, rng: nt.RandomSource | None = None
 ) -> ResponderOutcome:
     """Drive the receiver side; returns the recovered message."""
     frames: list[bytes] = []
     try:
         frames.append(channel.recv())
         pk = _announced_key(frames[0])
-        session = PaillierResponderSession(pk, hardened=hardened)
+        session = PaillierResponderSession(pk)
         session.choose_secret(rng)  # while the initiator encrypts pass 1
         pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value
         pass2 = session.step2_respond(pass1, rng)
@@ -275,26 +274,26 @@ def serve_three_pass(
     host: str = "127.0.0.1",
     sessions: int = 1,
     parallel: bool = False,
-    hardened: bool = True,
     timeout: float = DEFAULT_TIMEOUT,
-    rng_factory: Callable[[int], nt.RandomSource | None] | None = None,
+    seed: int | None = None,
     on_listening: Callable[[int], None] | None = None,
     on_outcome: Callable[[ResponderOutcome], None] | None = None,
 ) -> list[ResponderOutcome]:
     """Accept ``sessions`` connections and run the responder on each.
 
     Sequential by default; with ``parallel`` each connection gets its own
-    thread (sessions stay fully independent -- no state is shared).
-    ``rng_factory`` maps the 0-based session index to a RandomSource, which
-    keeps seeded runs deterministic per session. ``on_outcome`` runs once
-    per completed session, never for two sessions at once; the outcomes are
-    returned only when it is not given. A failed session, including one
-    whose ``on_outcome`` raised, does not stop the others: after all
-    ``sessions`` have run, the first failure is raised. Nothing of a session
-    is kept once it has ended and been reported, so memory does not grow
-    with the sessions served. ``timeout`` bounds each session from its
-    accept; waiting for a connection is not bounded. An address that
-    cannot be listened on raises ProtocolError.
+    thread (sessions stay fully independent -- no state is shared). With a
+    ``seed``, session i (counted from 0 in accept order) draws from
+    ``random.Random(seed + i)``, so seeded runs are deterministic per
+    session; without one, sessions draw from OS entropy. ``on_outcome``
+    runs once per completed session, never for two sessions at once; the
+    outcomes are returned only when it is not given. A failed session,
+    including one whose ``on_outcome`` raised, does not stop the others:
+    after all ``sessions`` have run, the first failure is raised. Nothing
+    of a session is kept once it has ended and been reported, so memory
+    does not grow with the sessions served. ``timeout`` bounds each session
+    from its accept; waiting for a connection is not bounded. An address
+    that cannot be listened on raises ProtocolError.
     """
     outcomes: list[ResponderOutcome] = []
     report = on_outcome or outcomes.append
@@ -304,8 +303,8 @@ def serve_three_pass(
     def handle(conn: socket.socket, index: int) -> None:
         channel = SocketChannel(conn, timeout=timeout)
         try:
-            rng = rng_factory(index) if rng_factory else None
-            outcome = run_responder(channel, rng=rng, hardened=hardened)
+            rng = None if seed is None else random.Random(seed + index)
+            outcome = run_responder(channel, rng)
             with lock:
                 report(outcome)
         except Exception as exc:

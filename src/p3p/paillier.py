@@ -327,10 +327,9 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
 
 
 def extract_residue(sk: PrivateKey, w: int) -> int:
-    """The n-th-power part left after dividing out the key base's class."""
-    pk = sk.public
-    cls = extract_class(sk, w, pk.g)
-    return w * nt.mod_inv(_pow_g(pk, cls), pk.n_squared) % pk.n_squared
+    """The n-th-power part left after dividing out the key base's class:
+    s2^n mod n^2 for the root s2 that split_residue finds."""
+    return _nth_power(sk, split_residue(sk, w)[1])
 
 
 def principal_root(sk: PrivateKey, value: int) -> int:

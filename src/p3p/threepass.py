@@ -78,10 +78,12 @@ class PaillierInitiatorSession:
 class PaillierResponderSession:
     """Receiver role: holds no long-term keys, only a per-run secret.
 
-    In hardened mode (the default) the secret exponent is sampled as
-    x^n mod n for a random unit x, so the third pass the initiator later
-    reveals is itself a blinded value. Plain mode draws the exponent
-    uniformly from the units, matching the unhardened protocol exactly.
+    By default the secret exponent m2 is x^n mod n for a random unit x;
+    ``hardened=False`` takes x itself. Every key PrivateKey accepts has
+    gcd(n, lambda) = 1, so x -> x^n mod n permutes the units modulo n and
+    both samplers give a uniform unit, and the third pass m * m2 mod n
+    that the initiator reveals has the same distribution under either.
+    They differ only in which unit a given draw maps to.
     """
 
     def __init__(self, pk: PublicKey, hardened: bool = True):

@@ -17,11 +17,6 @@ def keypair(tmp_path_factory):
     return prefix
 
 
-@pytest.fixture(autouse=True)
-def no_env_seed(monkeypatch):
-    monkeypatch.delenv("P3P_SEED", raising=False)
-
-
 def sign_then_verify(keypair, tmp_path, sign_message, verify_message, *flags):
     sig = str(tmp_path / "m.sig")
     key, pub = f"{keypair}.key", f"{keypair}.pub"
@@ -116,13 +111,6 @@ def test_shamir_demo_rejects_composite_with_forced_exponents(capsys):
                      "--message", "2"])
     assert code == 2
     assert "21 is not prime" in capsys.readouterr().err
-
-
-def test_non_integer_env_seed_is_a_usage_error(keypair, monkeypatch, capsys):
-    monkeypatch.setenv("P3P_SEED", "abc")
-    code = cli.main(["encrypt", "--key", f"{keypair}.pub", "--message", "2a"])
-    assert code == 1
-    assert "P3P_SEED" in capsys.readouterr().err
 
 
 @pytest.fixture

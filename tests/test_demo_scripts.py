@@ -10,6 +10,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_demo(script):
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--bits", "128", "--seed", "1"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
 @pytest.mark.parametrize(
     "script, expected",
     [
@@ -21,18 +35,14 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_script_succeeds(script, expected):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
-    result = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), "--bits", "128", "--seed", "1"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    result = run_demo(script)
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     for line in expected:
         assert line in lines
+
+
+def test_seeded_three_pass_demo_is_reproducible():
+    first, second = run_demo("three_pass_demo.py"), run_demo("three_pass_demo.py")
+    assert first.returncode == second.returncode == 0, first.stderr + second.stderr
+    assert first.stdout == second.stdout

@@ -16,15 +16,13 @@ from p3p.wire import MsgType
 from conftest import KEY15, ScriptedRandom
 
 
-def run_pair(init_rng, resp_rng, message=7, hardened=True, timeout=5.0):
+def run_pair(init_rng, resp_rng, message=7, timeout=5.0, sk=KEY15):
     init_channel, resp_channel = net.memory_channel_pair(timeout=timeout)
-    session = PaillierInitiatorSession(KEY15, message)
+    session = PaillierInitiatorSession(sk, message)
     results = {}
 
     def responder():
-        results["responder"] = net.run_responder(
-            resp_channel, rng=resp_rng, hardened=hardened
-        )
+        results["responder"] = net.run_responder(resp_channel, rng=resp_rng)
 
     worker = threading.Thread(target=responder)
     worker.start()
@@ -41,15 +39,7 @@ def test_memory_run_hardened_known_transcript():
     assert initiator.frames == responder.frames
 
 
-def test_memory_run_plain_known_transcript():
-    initiator, responder = run_pair(
-        ScriptedRandom([2]), ScriptedRandom([4]), hardened=False
-    )
-    assert (initiator.pass1, initiator.pass2, initiator.pass3) == (83, 196, 13)
-    assert responder.recovered == 7
-
-
-def tcp_roundtrip(message, seed, hardened=True):
+def tcp_roundtrip(message, seed):
     port_holder = {}
     listening = threading.Event()
     outcomes = {}
@@ -62,9 +52,8 @@ def tcp_roundtrip(message, seed, hardened=True):
         outcomes["responder"] = net.serve_three_pass(
             port=0,
             sessions=1,
-            hardened=hardened,
             timeout=10.0,
-            rng_factory=lambda index: random.Random(seed + 1000 + index),
+            seed=seed + 1000,
             on_listening=on_listening,
         )[0]
 
@@ -332,6 +321,31 @@ def test_a_raising_report_is_only_that_sessions_failure(parallel):
     assert isinstance(result["error"], ValueError)
 
 
+def test_seeded_listener_seeds_session_i_with_seed_plus_i():
+    # a 64-bit modulus, so two seeds all but never draw the same secret
+    sk = paillier.keygen(32, rng=random.Random("listener"))
+    seed, messages = 40, (6, 13)
+    result = {}
+    worker, port = start_listener(result, sessions=2, seed=seed)
+    sent = []
+    for index, message in enumerate(messages):
+        session = PaillierInitiatorSession(sk, message)
+        sent.append(net.send_over_tcp(
+            "127.0.0.1", port, session, rng=random.Random(index), timeout=10.0
+        ))
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert "error" not in result
+    for index, (message, initiator, outcome) in enumerate(
+        zip(messages, sent, result["outcomes"])
+    ):
+        _, expected = run_pair(
+            random.Random(index), random.Random(seed + index), message, sk=sk
+        )
+        assert outcome.recovered == message
+        assert outcome.frames == initiator.frames == expected.frames
+
+
 def announce_failures():
     gc.collect()
     return sum(
@@ -384,21 +398,17 @@ def test_listener_keeps_nothing_of_finished_sessions(parallel):
 
 # sha256 of the frames of one seeded session. How the key owner computes
 # x^n and when the responder draws its secret must not change them.
-PINNED_SESSION_SHA256 = {
-    True: "297b5b3d0d501e62fd0a7069ddac8a634d5dd312ccbb9a17c0b50b4341f796ee",
-    False: "8574912a8a809452df3bd7b748ceb248bb9c1d0379a26b228dbc7c33466a610d",
-}
+PINNED_SESSION_SHA256 = "297b5b3d0d501e62fd0a7069ddac8a634d5dd312ccbb9a17c0b50b4341f796ee"
 
 
-@pytest.mark.parametrize("hardened", [True, False])
-def test_seeded_512_bit_session_frames_are_pinned(hardened):
+def test_seeded_512_bit_session_frames_are_pinned():
     sk = paillier.keygen(256, rng=random.Random("pinned-session"))
     message = random.Random("pinned-message").randrange(sk.public.n)
     init_channel, resp_channel = net.memory_channel_pair(timeout=10.0)
     results = {}
-    worker = threading.Thread(target=lambda: results.update(responder=net.run_responder(
-        resp_channel, rng=random.Random(2), hardened=hardened
-    )))
+    worker = threading.Thread(target=lambda: results.update(
+        responder=net.run_responder(resp_channel, rng=random.Random(2))
+    ))
     worker.start()
     initiator = net.run_initiator(
         init_channel, PaillierInitiatorSession(sk, message), rng=random.Random(1)
@@ -408,7 +418,7 @@ def test_seeded_512_bit_session_frames_are_pinned(hardened):
     assert results["responder"].recovered == message
     assert results["responder"].frames == initiator.frames
     digest = hashlib.sha256(b"".join(initiator.frames)).hexdigest()
-    assert digest == PINNED_SESSION_SHA256[hardened]
+    assert digest == PINNED_SESSION_SHA256
 
 
 def test_idle_listener_keeps_waiting_past_the_session_timeout():

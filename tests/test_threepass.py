@@ -106,6 +106,22 @@ def test_hardened_exponent_is_always_a_unit(monkeypatch):
         responder.step4_recover(1)
 
 
+def test_both_samplers_draw_a_uniform_unit():
+    # x -> x^n mod n permutes the units for every key PrivateKey accepts,
+    # so m2 = x^n mod n is exactly as uniform as m2 = x.
+    small_primes = [p for p in range(2, 80) if nt.is_probable_prime(p, 8)]
+    moduli = []
+    for i, p in enumerate(small_primes):
+        for q in small_primes[i + 1:]:
+            try:
+                moduli.append(paillier.from_primes(p, q).public.n)
+            except DomainError:
+                continue  # PrivateKey rejects this pair
+    assert {15, 35} <= set(moduli)
+    for n in moduli:
+        assert sorted(pow(x, n, n) for x in units(n)) == units(n)
+
+
 def test_step2_homomorphic_identity():
     # the exponent step scales the hidden plaintext: D(E(m1)^m2) = m1*m2
     rng = random.Random(46)

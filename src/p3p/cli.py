@@ -46,6 +46,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+def _bounded(convert, admits, rule: str):
+    """argparse type: convert the text, then require admits(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not admits(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _seed_rng(args) -> nt.RandomSource | None:
     return None if args.seed is None else random.Random(args.seed)
 
@@ -256,6 +271,8 @@ def _cmd_send(args) -> int:
         port = int(port_text)
     except ValueError:
         raise _UsageError(f"port must be an integer, got {port_text!r}") from None
+    if not 1 <= port <= 65535:
+        raise _UsageError(f"port must be in 1..65535, got {port}")
     sk = _load_private(args.key)
     session = threepass.PaillierInitiatorSession(sk, _message_arg(args, sk.public))
     outcome = net.send_over_tcp(host, port, session, _seed_rng(args), args.timeout)
@@ -300,7 +317,7 @@ _SHARED = dict.fromkeys(
     "--text": {"action": "store_true", "help": "treat message as UTF-8 text"},
     "--seed": {"type": int, "default": None, "help": "deterministic randomness"},
     "--timeout": {
-        "type": float,
+        "type": _bounded(float, lambda t: 0 < t < math.inf, "a finite number > 0"),
         "default": 30.0,  # net.DEFAULT_TIMEOUT; building the parser must not import net
         "help": "seconds a whole three-pass session may take, once connected",
     },
@@ -330,9 +347,11 @@ _COMMANDS = (
     ("unblind", "turn a blinded signature into a real one", _cmd_unblind,
      ["--key", "--sig", "--secret", "--out"]),
     ("3pass-listen", "run the responder on a TCP port", _cmd_listen, [
-        ("--port", {"type": int, "required": True, "help": "0 picks a free port"}),
+        ("--port", {"type": _bounded(int, lambda p: 0 <= p <= 65535, "in 0..65535"),
+                    "required": True, "help": "0 picks a free port"}),
         ("--host", {"default": "127.0.0.1"}),
-        ("--count", {"type": int, "default": 1, "help": "sessions to serve"}),
+        ("--count", {"type": _bounded(int, lambda c: c >= 1, "at least 1"), "default": 1,
+                     "help": "sessions to serve"}),
         ("--parallel", {"action": "store_true"}),
         "--timeout", "--text", "--seed",
     ]),

@@ -10,9 +10,19 @@ ciphertexts are immutable; every operation is pure.
 """
 
 import enum
-import hashlib
 import math
 from dataclasses import dataclass, field
+
+# SHA-256 from the interpreter's built-in module, the way the stdlib's random
+# takes sha512; the OpenSSL-backed constructor would map libcrypto into every
+# process (about 3.5 MB of RSS).
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from . import numtheory as nt
 from .errors import (
@@ -47,7 +57,7 @@ _RANDOM_BASE_ATTEMPTS = 128
 
 def fingerprint_modulus(n: int) -> bytes:
     """Digest identifying a modulus, carried by ciphertexts for key checks."""
-    return hashlib.sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
+    return sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
 
 
 @dataclass(frozen=True)

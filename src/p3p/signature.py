@@ -7,12 +7,12 @@ class 0, the signer's s1 equals the s1 of the original message --
 blindness here covers the residue part only, not the class.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
 from .errors import InternalError, NotSignable
 from .paillier import PrivateKey, PublicKey, _is_unit, _nth_power, _raw_encrypt, split_residue
+from .paillier import sha256
 
 _HASH_ATTEMPTS = 256
 
@@ -70,7 +70,7 @@ def hash_to_signable(pk: PublicKey, message: bytes) -> int:
         buf = bytearray()
         block = 0
         while len(buf) < target_bytes:
-            h = hashlib.sha256()
+            h = sha256()
             h.update(attempt.to_bytes(4, "big"))
             h.update(block.to_bytes(4, "big"))
             h.update(message)

@@ -104,6 +104,65 @@ def test_send_rejects_address_without_port(keypair, capsys):
     assert "HOST:PORT" in capsys.readouterr().err
 
 
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+@pytest.fixture
+def no_connection(monkeypatch):
+    """Fail the test if the CLI opens a connection."""
+    from p3p import net
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("connected despite a usage error")
+
+    monkeypatch.setattr(net, "send_over_tcp", refuse)
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "0", "-1"])
+def test_send_rejects_port_outside_range(keypair, capsys, no_connection, port):
+    # getaddrinfo would wrap 70000 to 4464 and connect there
+    code = cli.main(["3pass-send", "--addr", f"127.0.0.1:{port}", "--key",
+                     f"{keypair}.key", "--message", "2a"])
+    assert code == 1
+    err = error_lines(capsys.readouterr().err)
+    assert err == [f"error: port must be in 1..65535, got {port}"]
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+def test_listen_rejects_port_outside_range(capsys, port):
+    assert cli.main(["3pass-listen", "--port", port]) == 1
+    err = error_lines(capsys.readouterr().err)
+    assert err == [f"error: argument --port: must be in 0..65535, got '{port}'"]
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf", "0", "-1"])
+def test_send_rejects_a_timeout_that_is_not_finite_and_positive(
+        keypair, capsys, no_connection, timeout):
+    code = cli.main(["3pass-send", "--addr", "127.0.0.1:1", "--key", f"{keypair}.key",
+                     "--message", "2a", "--timeout", timeout])
+    assert code == 1
+    err = error_lines(capsys.readouterr().err)
+    assert err == [f"error: argument --timeout: must be a finite number > 0, got '{timeout}'"]
+
+
+@pytest.mark.parametrize("timeout", ["nan", "inf"])
+def test_listen_rejects_a_timeout_that_is_not_finite(timeout):
+    # parsed only, so a listener that took the value would not block the test
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["3pass-listen", "--port", "0", "--timeout", timeout])
+    assert exc.value.code == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_listen_rejects_a_count_below_one(capsys, count):
+    assert cli.main(["3pass-listen", "--port", "0", "--count", count]) == 1
+    captured = capsys.readouterr()
+    assert "listening" not in captured.out
+    assert error_lines(captured.err) == [
+        f"error: argument --count: must be at least 1, got '{count}'"]
+
+
 def test_shamir_demo_rejects_composite_with_forced_exponents(capsys):
     # 3 and 7 are coprime to 21 - 1, so only the CLI's primality check
     # stands between this input and a meaningless transcript.

@@ -33,9 +33,38 @@ EVERYDAY_COMMANDS = textwrap.dedent("""
 """)
 
 
+# Run in a fresh interpreter: one seeded three-pass session over loopback,
+# 3pass-listen in a thread and 3pass-send in the main thread, both through
+# cli.main, then print every module that was loaded.
+LOOPBACK_SESSION = textwrap.dedent("""
+    import contextlib, io, sys, threading, time
+    from p3p import cli
+
+    out, codes = io.StringIO(), []
+    listen = ["3pass-listen", "--port", "0", "--seed", "3", "--timeout", "20"]
+    with contextlib.redirect_stdout(out):
+        listener = threading.Thread(target=lambda: codes.append(cli.main(listen)))
+        listener.start()
+        deadline = time.monotonic() + 20
+        while "listening" not in out.getvalue() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        port = out.getvalue().split()[1].rpartition(":")[2]
+        codes.append(cli.main(["3pass-send", "--addr", f"127.0.0.1:{port}",
+                               "--key", sys.argv[1], "--message", "2a", "--seed", "4",
+                               "--timeout", "20"]))
+        listener.join()
+    assert codes == [0, 0] and "recovered 2a" in out.getvalue(), out.getvalue()
+    print(" ".join(sys.modules))
+""")
+
+# Neither hashlib nor its OpenSSL binding: SHA-256 comes from the
+# interpreter's built-in module.
+NO_OPENSSL = {"hashlib", "_hashlib"}
+
+
 def loaded_modules(code, *args):
     done = subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
 
@@ -48,7 +77,45 @@ def test_everyday_commands_load_no_transport_or_protocol(tmp_path, capsys):
                             str(tmp_path / "m.sig"))
     assert "p3p.signature" in loaded
     unused = {"p3p.net", "p3p.wire", "p3p.threepass", "p3p.trapdoor", "socket", "queue"}
-    assert loaded & unused == set()
+    assert loaded & (unused | NO_OPENSSL) == set()
+
+
+def test_loopback_session_loads_no_openssl(tmp_path, capsys):
+    prefix = tmp_path / "k"
+    assert cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    loaded = loaded_modules(LOOPBACK_SESSION, f"{prefix}.key")
+    assert "p3p.net" in loaded
+    assert loaded & NO_OPENSSL == set()
+
+
+# The built-in modules hidden, so the import falls back to hashlib.
+FALLBACK_DIGESTS = textwrap.dedent("""
+    import hashlib, random, sys
+    sys.modules["_sha2"] = sys.modules["_sha256"] = None
+    from p3p import paillier, signature
+
+    assert paillier.sha256 is hashlib.sha256
+    print(paillier.fingerprint_modulus(15).hex(), paillier.fingerprint_modulus(35).hex())
+    pk = paillier.keygen(256, rng=random.Random(0)).public
+    for message in (b"", b"abc"):
+        value = signature.hash_to_signable(pk, message)
+        print(hashlib.sha256(value.to_bytes(128, "big")).hexdigest())
+""")
+
+
+def test_hashlib_fallback_gives_the_same_digests():
+    done = subprocess.run([sys.executable, "-c", FALLBACK_DIGESTS],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [
+        # fingerprint_modulus(15) and (35): sha256 of the bytes 0x0f and 0x23
+        "dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8",
+        "334359b90efed75da5f0ada1d5e6b256f4a6bd0aee7eb39c0f90182a021ffc8b",
+        # test_signature.py::test_hash_to_signable_pinned_on_a_512_bit_key
+        "f8833e4e7fef939ef3794f2507ebb4a87c8aeba2640f9e7aa4ce95d55af2dd7f",
+        "93e8c12ff079c6e303e6426ea5f77ab6c56dd021ffc3428b3b703f2ac3b87a3e",
+    ]
 
 
 def test_bare_import_loads_no_submodule():

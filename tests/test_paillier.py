@@ -132,6 +132,15 @@ def test_derive_key_accepts_exactly_the_textbook_residue_bases():
         assert accepted == (p - 1) * (q - 1) * (p - 1) * (q - 1)
 
 
+def test_fingerprint_modulus_is_sha256_of_the_modulus_bytes():
+    # sha256 of the one byte 0x0f and of 0x23
+    assert paillier.fingerprint_modulus(15).hex() == (
+        "dc0e9c3658a1a3ed1ec94274d8b19925c93e1abb7ddba294923ad9bde30f8cb8")
+    assert paillier.fingerprint_modulus(35).hex() == (
+        "334359b90efed75da5f0ada1d5e6b256f4a6bd0aee7eb39c0f90182a021ffc8b")
+    assert PK15.fingerprint == paillier.fingerprint_modulus(15)
+
+
 def test_encrypt_forced_nonce_known_answer():
     c = paillier.encrypt(PK15, 7, ScriptedRandom([2]))
     assert c.value == 83

@@ -180,3 +180,16 @@ def test_signer_sees_the_message_class():
 def test_cross_key_signature_fails():
     sig = signature.sign_raw(KEY15, 83)
     assert not signature.verify(KEY35.public, 83, sig)
+
+
+def test_signing_a_ciphertext_decrypts_it():
+    # sign_raw's s1 is decrypt's class, so a key that signs must never decrypt
+    for w in units(225):
+        c = paillier.Ciphertext(w, PK15.fingerprint)
+        assert signature.sign_raw(KEY15, c.value).s1 == paillier.decrypt(KEY15, c)
+    sk = paillier.keygen(256, rng=random.Random(11))
+    rng = random.Random(12)
+    for _ in range(20):
+        m = rng.randrange(sk.public.n)
+        c = paillier.encrypt(sk.public, m, rng)
+        assert signature.sign_raw(sk, c.value).s1 == paillier.decrypt(sk, c) == m

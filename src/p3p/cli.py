@@ -50,12 +50,13 @@ def _bounded(convert, admits, rule: str):
     """argparse type: convert the text, then require admits(value)."""
 
     def parse(text: str):
+        error = argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         try:
             value = convert(text)
         except ValueError:
-            value = None
-        if value is None or not admits(value):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+            raise error from None
+        if not admits(value):
+            raise error
         return value
 
     return parse

@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Check the private-key core on an interpreter that has no pytest.
+
+    PYTHONPATH=src python scripts/cross_version_check.py
+
+Exhaustively at n = 15 and 35, for the default base and the smallest other
+residue base: every unit w splits as w = g^s1 * s2^n mod n^2, and the key
+owner's x^n mod n^2 equals pow(x, n, n^2) for every x < n^2. Then it hashes
+serialize_key of seeded 256-bit keys and compares the digest with the one
+Python 3.11 gives. Prints one line per check; exits 1 on the first failure.
+"""
+
+import hashlib
+import math
+import random
+import sys
+
+from p3p import keyfile, paillier
+from p3p.errors import DomainError
+
+# sha256 over serialize_key of keygen(128, strategy, Random(seed)) for
+# seeds 0-3 and both strategies, as Python 3.11.7 computes it
+SEEDED_KEYS_SHA256 = "0034f170e2f1f9f76fcd34224c94a4c4e9e783d14fcf54fbedc5a1c6ded5c117"
+
+
+def toy_keys(p, q):
+    n = p * q
+    yield paillier.from_primes(p, q)
+    for g in range(2, n * n):
+        if g == n + 1:
+            continue
+        try:
+            yield paillier.from_primes(p, q, g)
+        except DomainError:  # not a unit, or not a residue base
+            continue
+        return
+
+
+def check_toy_key(sk):
+    n, n2, g = sk.public.n, sk.public.n_squared, sk.public.g
+    for w in range(1, n2):
+        if math.gcd(w, n) != 1:
+            continue
+        s1, s2 = paillier.split_residue(sk, w)
+        if not (0 <= s1 < n and 0 < s2 < n and pow(g, s1, n2) * pow(s2, n, n2) % n2 == w):
+            return f"split_residue({w}) = {(s1, s2)}"
+    for x in range(n2):
+        if paillier._nth_power(sk, x) != pow(x, n, n2):
+            return f"_nth_power({x})"
+    return None
+
+
+def seeded_keys_digest():
+    digest = hashlib.sha256()
+    for strategy in paillier.BaseStrategy:
+        for seed in range(4):
+            sk = paillier.keygen(128, strategy, random.Random(seed))
+            digest.update(keyfile.serialize_key(sk))
+    return digest.hexdigest()
+
+
+def main():
+    version = sys.version.split()[0]
+    for p, q in ((3, 5), (5, 7)):
+        for sk in toy_keys(p, q):
+            failure = check_toy_key(sk)
+            label = f"n = {p * q}, g = {sk.public.g}"
+            if failure:
+                print(f"{version}: FAIL {label}: {failure}")
+                return 1
+            print(f"{version}: ok {label}")
+    digest = seeded_keys_digest()
+    if digest != SEEDED_KEYS_SHA256:
+        print(f"{version}: FAIL seeded serialize_key digest {digest}")
+        return 1
+    print(f"{version}: ok seeded serialize_key digest {digest[:16]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -266,6 +266,8 @@ def _cmd_send(args) -> int:
     from . import net, threepass
 
     host, _, port_text = args.addr.rpartition(":")
+    if host.startswith("[") and host.endswith("]"):  # [IPv6]:PORT
+        host = host[1:-1]
     if not host:
         raise _UsageError("--addr must look like HOST:PORT")
     try:
@@ -327,7 +329,9 @@ _SHARED = dict.fromkeys(
 # (name, help, handler, options); an option is a shared flag or (flag, kwargs).
 _COMMANDS = (
     ("keygen", "generate a keypair into PREFIX.pub/.key", _cmd_keygen, [
-        ("--bits", {"type": int, "default": 2048, "help": "modulus size (default 2048)"}),
+        ("--bits", {"type": int, "default": 2048,
+                    "help": "modulus size, rounded down to even; n may have one bit less"
+                    " (default 2048)"}),
         ("--out", {"required": True, "metavar": "PREFIX"}),
         ("--base", {"choices": ["default", "random"], "default": "default"}),
         "--seed",

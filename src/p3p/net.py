@@ -292,8 +292,9 @@ def serve_three_pass(
     after all ``sessions`` have run, the first failure is raised. Nothing
     of a session is kept once it has ended and been reported, so memory
     does not grow with the sessions served. ``timeout`` bounds each session
-    from its accept; waiting for a connection is not bounded. An address
-    that cannot be listened on raises ProtocolError.
+    from its accept; waiting for a connection is not bounded. A ``host``
+    with a colon is an IPv6 literal. An address that cannot be listened on
+    raises ProtocolError.
     """
     outcomes: list[ResponderOutcome] = []
     report = on_outcome or outcomes.append
@@ -315,7 +316,8 @@ def serve_three_pass(
             channel.close()
 
     try:
-        server = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        server = socket.create_server((host, port), family=family)
     except OSError as exc:
         raise ProtocolError(f"cannot listen on {host}:{port}: {exc}") from exc
     with server:

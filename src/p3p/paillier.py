@@ -88,6 +88,42 @@ class PublicKey:
         )
 
 
+@dataclass(frozen=True, repr=False)
+class _Half:
+    """A private key's arithmetic modulo one of its primes r and r^2.
+
+    Each private-key operation applies one method to both halves and sums
+    the results times u (or u2); that sum is the CRT recombination
+    (Paillier, EUROCRYPT '99, section 7). No repr: a half holds r.
+    """
+
+    r: int
+    r_squared: int
+    h: int  # L_r(g^(r-1) mod r^2)^-1 mod r
+    d: int  # n^-1 mod (r-1)
+    e: int  # n mod (r-1)
+    u: int  # 1 mod r, 0 mod the other prime, below n
+    u2: int  # the same modulo n^2: 1 mod r^2, 0 mod the other square
+
+    def class_(self, w: int) -> int:
+        """Class of w mod r: Z*_{r^2} has order r(r-1), so w = g^s1 * x^n
+        gives w^(r-1) = g^(s1(r-1))."""
+        return nt.l_function(pow(w, self.r - 1, self.r_squared), self.r) * self.h % self.r
+
+    def nth_power(self, x: int) -> int:
+        """x^n mod r^2, by the Teichmueller lift.
+
+        Z*_{r^2} is Z_r x Z*_r, and its n-th powers form the factor of order
+        r - 1, so x^n mod r^2 depends only on x mod r: it is c^r mod r^2 for
+        c = (x mod r)^(n mod (r-1)) mod r (Paillier, EUROCRYPT '99, section 3).
+        """
+        return pow(pow(x % self.r, self.e, self.r), self.r, self.r_squared)
+
+    def root(self, v: int) -> int:
+        """The n-th root of v mod r; gcd(n, lambda) = 1, so x -> x^n permutes Z*_r."""
+        return pow(v % self.r, self.d, self.r)
+
+
 @dataclass(frozen=True)
 class PrivateKey:
     """The primes p, q and residue base g; all other fields derive from them.
@@ -103,56 +139,38 @@ class PrivateKey:
     public: PublicKey = field(init=False, repr=False, compare=False)
     lam: int = field(init=False, repr=False, compare=False)  # lcm(p-1, q-1)
     mu: int = field(init=False, repr=False, compare=False)  # L(g^lam mod n^2)^-1 mod n
-    p_squared: int = field(init=False, repr=False, compare=False)
-    q_squared: int = field(init=False, repr=False, compare=False)
-    # h_p = L_p(g^(p-1) mod p^2)^-1 mod p, and h_q the same modulo q
-    h_p: int = field(init=False, repr=False, compare=False)
-    h_q: int = field(init=False, repr=False, compare=False)
-    p_inv: int = field(init=False, repr=False, compare=False)  # p^-1 mod q
-    # p^-2 mod q^2, for recombining halves modulo p^2 and q^2
-    p_squared_inv: int = field(init=False, repr=False, compare=False)
-    d_p: int = field(init=False, repr=False, compare=False)  # n^-1 mod (p-1)
-    d_q: int = field(init=False, repr=False, compare=False)  # n^-1 mod (q-1)
+    halves: tuple[_Half, _Half] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p, q, g = self.p, self.q, self.g
         if p == q:
             raise DomainError("primes must be distinct")
         public = PublicKey(n=p * q, g=g)
-        n = public.n
+        n, n_squared = public.n, public.n_squared
         lam = math.lcm(p - 1, q - 1)
         common = math.gcd(n, lam)
         if common != 1:
             raise DomainError(f"gcd(n, lambda) = {common} != 1; key unusable")
-        p_inv = nt.mod_inv(p, q)
-        # L(g^lam mod n^2) = l * k / other (mod prime) for l = L_prime(g^(prime-1)
-        # mod prime^2) and k = lam/(prime-1), a unit as gcd(n, lam) = 1. One
-        # inverse of l*k gives both h = l^-1 and mu modulo prime.
-        h, mu_parts = [], []
-        for prime, other in ((p, q), (q, p)):
-            l_value = nt.l_function(pow(g, prime - 1, prime * prime), prime)
-            k = lam // (prime - 1)
+        # The CRT coefficients of p; q's follow from them without an inverse.
+        # u^2 (3 - 2u) lifts an idempotent u mod n to one mod n^2.
+        u_p = q * nt.mod_inv(q, p)
+        u2_p = u_p * u_p * (3 - 2 * u_p) % n_squared
+        # L(g^lam mod n^2) = l * k / other (mod r) for l = L_r(g^(r-1) mod r^2)
+        # and k = lam/(r-1), a unit as gcd(n, lam) = 1. One inverse of l*k
+        # gives both h = l^-1 and mu modulo r.
+        halves, mu = [], 0
+        for r, other, u, u2 in ((p, q, u_p, u2_p), (q, p, n + 1 - u_p, (1 - u2_p) % n_squared)):
+            l_value = nt.l_function(pow(g, r - 1, r * r), r)
+            k = lam // (r - 1)
             try:
-                inverse = nt.mod_inv(l_value * k, prime)
+                inverse = nt.mod_inv(l_value * k, r)
             except NotInvertible:
                 raise DomainError(f"{g} is not a residue base for n={n}") from None
-            h.append(inverse * k % prime)
-            mu_parts.append(inverse * other % prime)
-        # one Newton step lifts p^-1 from mod q to mod q^2
-        p_inv_lifted = p_inv * (2 - p * p_inv) % (q * q)
-        derived = {
-            "public": public,
-            "lam": lam,
-            "mu": _crt(p, q, p_inv, *mu_parts),
-            "p_squared": p * p,
-            "q_squared": q * q,
-            "h_p": h[0],
-            "h_q": h[1],
-            "p_inv": p_inv,
-            "p_squared_inv": p_inv_lifted * p_inv_lifted % (q * q),
-            "d_p": nt.mod_inv(n, p - 1),
-            "d_q": nt.mod_inv(n, q - 1),
-        }
+            halves.append(
+                _Half(r, r * r, inverse * k % r, nt.mod_inv(n, r - 1), n % (r - 1), u, u2)
+            )
+            mu += inverse * other % r * u
+        derived = {"public": public, "lam": lam, "mu": mu % n, "halves": tuple(halves)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
@@ -171,11 +189,6 @@ class Ciphertext:
 def _is_unit(pk: PublicKey, w: int) -> bool:
     # gcd(w, n) = 1 iff gcd(w, n^2) = 1, and the smaller gcd is about twice as fast
     return 0 < w < pk.n_squared and math.gcd(w, pk.n) == 1
-
-
-def _crt(p: int, q: int, p_inv: int, r_p: int, r_q: int) -> int:
-    """The value below p*q that is r_p mod p and r_q mod q."""
-    return r_p + p * ((r_q - r_p) * p_inv % q)
 
 
 def keygen(
@@ -242,23 +255,11 @@ def _public(key: PublicKey | PrivateKey) -> PublicKey:
 
 
 def _nth_power(key: PublicKey | PrivateKey, x: int) -> int:
-    """x^n mod n^2; with the private key, by CRT and the Teichmueller lift.
-
-    Z*_{p^2} is Z_p x Z*_p, and its n-th powers form the factor of order
-    p - 1, so x^n mod p^2 depends only on x mod p: it is c^p mod p^2 for
-    c = (x mod p)^(n mod (p-1)) mod p (Paillier, EUROCRYPT '99, section 3).
-    The same holds modulo q^2. Both paths give the same value for every x.
-    """
+    """x^n mod n^2; with the private key, by CRT and the Teichmueller lift
+    (``_Half.nth_power``). Both paths give the same value for every x."""
     if isinstance(key, PublicKey):
         return pow(x, key.n, key.n_squared)
-    p, q, n = key.p, key.q, key.public.n
-    return _crt(
-        key.p_squared,
-        key.q_squared,
-        key.p_squared_inv,
-        pow(pow(x % p, n % (p - 1), p), p, key.p_squared),
-        pow(pow(x % q, n % (q - 1), q), q, key.q_squared),
-    )
+    return sum(h.nth_power(x) * h.u2 for h in key.halves) % key.public.n_squared
 
 
 def _raw_encrypt(key: PublicKey | PrivateKey, s1: int, s2: int) -> int:
@@ -299,15 +300,7 @@ def _check_ciphertext_value(pk: PublicKey, value: int) -> None:
 
 
 def _class(sk: PrivateKey, w: int) -> int:
-    # Z*_{p^2} has order p(p-1), so w = g^s1 * x^n gives w^(p-1) = g^(s1(p-1)).
-    p, q = sk.p, sk.q
-    return _crt(
-        p,
-        q,
-        sk.p_inv,
-        nt.l_function(pow(w, p - 1, sk.p_squared), p) * sk.h_p % p,
-        nt.l_function(pow(w, q - 1, sk.q_squared), q) * sk.h_q % q,
-    )
+    return sum(h.class_(w) * h.u for h in sk.halves) % sk.public.n
 
 
 def decrypt(sk: PrivateKey, c: Ciphertext) -> int:
@@ -348,9 +341,7 @@ def principal_root(sk: PrivateKey, value: int) -> int:
     ``value`` may be given modulo n^2 or larger; only its residues modulo
     p and q are used. Meaningful only when it is a unit modulo n.
     """
-    # gcd(n, lambda) = 1, so x -> x^n permutes Z*_p and Z*_q.
-    p, q = sk.p, sk.q
-    return _crt(p, q, sk.p_inv, pow(value % p, sk.d_p, p), pow(value % q, sk.d_q, q))
+    return sum(h.root(value) * h.u for h in sk.halves) % sk.public.n
 
 
 def split_residue(sk: PrivateKey, w: int) -> tuple[int, int]:
@@ -363,9 +354,7 @@ def split_residue(sk: PrivateKey, w: int) -> tuple[int, int]:
     pk = sk.public
     s1 = extract_class(sk, w, pk.g)
     if pk.g != pk.n + 1:  # the default base is 1 mod n, so it divides out for free
-        p, q = sk.p, sk.q
-        g_p, g_q = pow(pk.g, -s1 % (p - 1), p), pow(pk.g, -s1 % (q - 1), q)
-        w *= _crt(p, q, sk.p_inv, g_p, g_q)
+        w *= sum(pow(pk.g, -s1 % (h.r - 1), h.r) * h.u for h in sk.halves)
     return s1, principal_root(sk, w)
 
 

@@ -97,6 +97,22 @@ def test_listen_on_a_port_in_use_is_an_error(capsys):
     assert err[0].startswith(f"error: cannot listen on 127.0.0.1:{port}: ")
 
 
+def test_send_strips_the_brackets_of_an_ipv6_address(keypair, monkeypatch):
+    from p3p import net
+
+    calls = []
+
+    def spy(host, port, *rest):
+        calls.append((host, port))
+        return net.InitiatorOutcome(pass1=1, pass2=2, pass3=3, frames=())
+
+    monkeypatch.setattr(net, "send_over_tcp", spy)
+    code = cli.main(["3pass-send", "--addr", "[::1]:5", "--key", f"{keypair}.key",
+                     "--message", "2a"])
+    assert code == 0
+    assert calls == [("::1", 5)]
+
+
 def test_send_rejects_address_without_port(keypair, capsys):
     code = cli.main(["3pass-send", "--addr", "nohost", "--key", f"{keypair}.key",
                      "--message", "2a"])

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from p3p import paillier, signature, trapdoor
+from p3p import paillier, signature, threepass, trapdoor
 from p3p.paillier import BaseStrategy, Ciphertext
 
 from oracles import (
@@ -45,13 +45,19 @@ TOY_KEYS = [
 
 @pytest.mark.parametrize("sk", TOY_KEYS, ids=lambda k: f"n{k.public.n}-g{k.public.g}")
 def test_crt_fields_match_their_definitions(sk):
-    p, q, n = sk.p, sk.q, sk.public.n
-    g = sk.public.g
-    assert (sk.p_squared, sk.q_squared) == (p * p, q * q)
-    assert sk.h_p == egcd_inverse((pow(g, p - 1, p * p) - 1) // p, p)
-    assert sk.h_q == egcd_inverse((pow(g, q - 1, q * q) - 1) // q, q)
-    assert sk.p_inv == egcd_inverse(p, q)
-    assert (sk.d_p, sk.d_q) == (egcd_inverse(n, p - 1), egcd_inverse(n, q - 1))
+    n, n2, g = sk.public.n, sk.public.n_squared, sk.public.g
+    assert [h.r for h in sk.halves] == [sk.p, sk.q]
+    for h in sk.halves:
+        r = h.r
+        assert h.r_squared == r * r
+        assert h.h == egcd_inverse((pow(g, r - 1, r * r) - 1) // r, r)
+        assert (h.d, h.e) == (egcd_inverse(n, r - 1), n % (r - 1))
+        assert h.u % r == 1 and 0 <= h.u < n
+        assert h.u2 % (r * r) == 1 and 0 <= h.u2 < n2
+    half_p, half_q = sk.halves
+    assert (half_p.u + half_q.u) % n == 1 and half_p.u * half_q.u % n == 0
+    assert (half_p.u2 + half_q.u2) % n2 == 1
+    assert half_p.u2 * half_q.u2 % n2 == 0
     assert sk.mu == egcd_inverse((pow(g, sk.lam, n * n) - 1) // n, n)
 
 
@@ -76,7 +82,7 @@ def test_crt_core_exhaustive_small_modulus(sk):
 @pytest.mark.parametrize("sk", TOY_KEYS, ids=lambda k: f"n{k.public.n}-g{k.public.g}")
 def test_key_owner_nth_power_exhaustive_small_modulus(sk):
     n, n2 = sk.public.n, sk.public.n_squared
-    assert sk.p_squared_inv == egcd_inverse(sk.p_squared, sk.q_squared)
+    assert sk.halves[0].u2 == sk.q**2 * egcd_inverse(sk.q**2, sk.p**2)
     for x in range(n2):  # Z*_n and every other residue
         assert paillier._nth_power(sk, x) == pow(x, n, n2)
         assert paillier._nth_power(sk.public, x) == pow(x, n, n2)
@@ -128,8 +134,18 @@ def test_derived_fields_stay_out_of_repr_and_equality():
     sk = paillier.keygen(64, rng=random.Random(3))
     assert repr(sk) == f"<PrivateKey for {sk.public!r}>"
     derived = [f for f in dataclasses.fields(sk) if not f.init]
-    assert [f.name for f in derived] == [
-        "public", "lam", "mu", "p_squared", "q_squared", "h_p", "h_q", "p_inv",
-        "p_squared_inv", "d_p", "d_q",
-    ]
+    assert [f.name for f in derived] == ["public", "lam", "mu", "halves"]
     assert not any(f.repr or f.compare for f in derived)
+
+
+def test_no_secret_in_any_repr():
+    sk = paillier.keygen(64, rng=random.Random(5))
+    _, secret = signature.blind(sk.public, 2, random.Random(6))
+    responder = threepass.PaillierResponderSession(sk.public)
+    responder.choose_secret(random.Random(7))
+    secrets = [sk.p, sk.q, sk.lam, sk.mu, secret.x, responder._m2]
+    secrets += [value for h in sk.halves for value in (h.h, h.d)]
+    shown = [repr(sk), repr(sk.halves), *map(str, sk.halves), repr(secret), repr(responder)]
+    for text in shown:
+        for value in secrets:
+            assert str(value) not in text and f"{value:x}" not in text.lower(), text

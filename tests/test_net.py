@@ -484,3 +484,17 @@ def test_drip_peer_hits_the_session_deadline():
         stop.set()
         dripper[0].join(timeout=5.0)
     assert not dripper[0].is_alive()
+
+
+def test_ipv6_loopback_session():
+    sk = paillier.keygen(64, rng=random.Random("ipv6"))
+    result = {}
+    worker, port = start_listener(result, host="::1", seed=9)
+    session = PaillierInitiatorSession(sk, 21)
+    initiator = net.send_over_tcp("::1", port, session, rng=random.Random(1), timeout=10.0)
+    worker.join(timeout=10.0)
+    assert not worker.is_alive()
+    assert "error" not in result
+    (outcome,) = result["outcomes"]
+    assert outcome.recovered == 21
+    assert outcome.frames == initiator.frames

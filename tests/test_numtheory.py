@@ -211,3 +211,10 @@ def test_random_unit_rejects_non_units_until_one_fits():
 def test_random_unit_modulus_validated():
     with pytest.raises(DomainError):
         nt.random_unit(1)
+
+
+def test_keygen_modulus_is_often_one_bit_short():
+    # gen_prime sets only the top bit, so p*q has 2b - 1 or 2b bits
+    lengths = [paillier.keygen(64, rng=random.Random(seed)).public.n.bit_length()
+               for seed in range(40)]
+    assert set(lengths) == {127, 128}

@@ -66,14 +66,19 @@ def _seed_rng(args) -> nt.RandomSource | None:
     return None if args.seed is None else random.Random(args.seed)
 
 
-def _parse_int_arg(text: str, what: str) -> int:
+def _hex_bytes(text: str, what: str) -> bytes:
+    """The one command-line hex rule: what bytes.fromhex reads, after an odd
+    digit count gets a leading zero. No 0x prefix, no underscores."""
     try:
-        value = int(text, 16)
+        return bytes.fromhex("0" * (len(text) % 2) + text)
     except ValueError:
         raise _UsageError(f"{what} must be hexadecimal, got {text!r}") from None
-    if value < 0:
-        raise _UsageError(f"{what} must be non-negative")
-    return value
+
+
+def _parse_int_arg(text: str, what: str) -> int:
+    if not text:
+        raise _UsageError(f"{what} must not be empty")
+    return int.from_bytes(_hex_bytes(text, what), "big")
 
 
 def _message_arg(args, pk: paillier.PublicKey) -> int:
@@ -87,14 +92,10 @@ def _message_arg(args, pk: paillier.PublicKey) -> int:
 
 
 def _message_bytes(args) -> bytes:
-    """--message as bytes to hash: UTF-8 text, or hex (an odd digit count
-    gets a leading zero)."""
+    """--message as bytes to hash: UTF-8 text, or hex."""
     if args.text:
         return args.message.encode("utf-8")
-    try:
-        return bytes.fromhex("0" * (len(args.message) % 2) + args.message)
-    except ValueError:
-        raise _UsageError(f"message must be hexadecimal, got {args.message!r}") from None
+    return _hex_bytes(args.message, "message")
 
 
 def _ciphertext_arg(args, sk: paillier.PrivateKey) -> paillier.Ciphertext:
@@ -121,8 +122,7 @@ def _read(path: str) -> bytes:
 
 
 def _load_public(path: str) -> paillier.PublicKey:
-    key = keyfile.parse_key(_read(path))
-    return key.public if isinstance(key, paillier.PrivateKey) else key
+    return paillier._public(keyfile.parse_key(_read(path)))
 
 
 def _load_private(path: str) -> paillier.PrivateKey:
@@ -154,8 +154,6 @@ def _write_signature(path: str, sig: "Signature") -> int:
 
 
 def _cmd_keygen(args) -> int:
-    if args.bits < 8:
-        raise _UsageError("--bits must be at least 8 (modulus size)")
     strategy = (
         paillier.BaseStrategy.RANDOM
         if args.base == "random"
@@ -252,7 +250,7 @@ def _cmd_listen(args) -> int:
         host=args.host,
         sessions=args.count,
         parallel=args.parallel,
-        timeout=args.timeout,
+        timeout=args.timeout or net.DEFAULT_TIMEOUT,
         seed=args.seed,
         on_listening=lambda port: print(f"listening {args.host}:{port}", flush=True),
         on_outcome=lambda outcome: print(
@@ -278,7 +276,9 @@ def _cmd_send(args) -> int:
         raise _UsageError(f"port must be in 1..65535, got {port}")
     sk = _load_private(args.key)
     session = threepass.PaillierInitiatorSession(sk, _message_arg(args, sk.public))
-    outcome = net.send_over_tcp(host, port, session, _seed_rng(args), args.timeout)
+    outcome = net.send_over_tcp(
+        host, port, session, _seed_rng(args), args.timeout or net.DEFAULT_TIMEOUT
+    )
     print(f"pass1 {outcome.pass1:x}")
     print(f"pass2 {outcome.pass2:x}")
     print(f"pass3 {outcome.pass3:x}")
@@ -293,15 +293,10 @@ def _cmd_shamir_demo(args) -> int:
     def party(forced_e):
         if forced_e is None:
             return threepass.shamir_keygen(args.prime, rng)
-        if math.gcd(forced_e, args.prime - 1) != 1:
-            raise _UsageError(f"exponent {forced_e} shares a factor with p-1")
         return threepass.ShamirParty(
             prime=args.prime, e=forced_e, d=nt.mod_inv(forced_e, args.prime - 1)
         )
 
-    # shamir_keygen checks the prime as well, but forced exponents skip it.
-    if not nt.is_probable_prime(args.prime, nt.DEFAULT_MR_ROUNDS):
-        raise P3PError(f"{args.prime} is not prime")
     transcript = threepass.shamir_exchange(
         party(args.exp_a), party(args.exp_b), args.message
     )
@@ -321,7 +316,7 @@ _SHARED = dict.fromkeys(
     "--seed": {"type": int, "default": None, "help": "deterministic randomness"},
     "--timeout": {
         "type": _bounded(float, lambda t: 0 < t < math.inf, "a finite number > 0"),
-        "default": 30.0,  # net.DEFAULT_TIMEOUT; building the parser must not import net
+        "default": None,  # the handler falls back to net.DEFAULT_TIMEOUT
         "help": "seconds a whole three-pass session may take, once connected",
     },
 }
@@ -329,7 +324,8 @@ _SHARED = dict.fromkeys(
 # (name, help, handler, options); an option is a shared flag or (flag, kwargs).
 _COMMANDS = (
     ("keygen", "generate a keypair into PREFIX.pub/.key", _cmd_keygen, [
-        ("--bits", {"type": int, "default": 2048,
+        ("--bits", {"type": _bounded(int, lambda b: b >= 8, "at least 8"),
+                    "default": 2048,
                     "help": "modulus size, rounded down to even; n may have one bit less"
                     " (default 2048)"}),
         ("--out", {"required": True, "metavar": "PREFIX"}),

@@ -37,3 +37,17 @@ def decode_uint(buf: bytes, offset: int = 0) -> tuple[int, int]:
     if length > 0 and buf[start] == 0:
         raise ParseError("non-canonical integer (leading zero byte)", offset=start)
     return int.from_bytes(buf[start : start + length], "big"), start + length
+
+
+def decode_fields(buf: bytes, count: int) -> list[int]:
+    """Read exactly ``count`` length-prefixed integers that fill ``buf``."""
+    values = []
+    offset = 0
+    for _ in range(count):
+        value, offset = decode_uint(buf, offset)
+        values.append(value)
+    if offset != len(buf):
+        raise ParseError(
+            f"{len(buf) - offset} trailing bytes after last field", offset=offset
+        )
+    return values

@@ -18,7 +18,7 @@ import math
 from typing import TYPE_CHECKING
 
 from . import numtheory as nt
-from .encoding import decode_uint, encode_uint
+from .encoding import decode_fields, encode_uint
 from .errors import DomainError, NotInvertible, ParseError
 from .paillier import PrivateKey, PublicKey
 
@@ -53,19 +53,6 @@ def _open_envelope(data: bytes) -> tuple[str, bytes]:
     return header.strip(), body
 
 
-def _decode_fields(body: bytes, count: int) -> list[int]:
-    values = []
-    offset = 0
-    for _ in range(count):
-        value, offset = decode_uint(body, offset)
-        values.append(value)
-    if offset != len(body):
-        raise ParseError(
-            f"{len(body) - offset} trailing bytes after last field", offset=offset
-        )
-    return values
-
-
 def serialize_key(key: PublicKey | PrivateKey) -> bytes:
     if isinstance(key, PrivateKey):
         pk = key.public
@@ -81,13 +68,13 @@ def parse_key(data: bytes) -> PublicKey | PrivateKey:
     """Parse either key kind; both are revalidated before being returned."""
     header, body = _open_envelope(data)
     if header == PUBLIC_HEADER:
-        n, g = _decode_fields(body, 2)
+        n, g = decode_fields(body, 2)
         try:
             return PublicKey(n=n, g=g)
         except DomainError as exc:
             raise ParseError(f"invalid key: {exc}", offset=0) from None
     if header == PRIVATE_HEADER:
-        n, g, p, q, lam, mu = _decode_fields(body, 6)
+        n, g, p, q, lam, mu = decode_fields(body, 6)
         if p * q != n:
             raise ParseError("field mismatch: n is not p*q", offset=0)
         for name, factor in (("p", p), ("q", q)):
@@ -115,7 +102,7 @@ def parse_signature(data: bytes) -> "Signature":
     header, body = _open_envelope(data)
     if header != SIGNATURE_HEADER:
         raise ParseError(f"unknown header {header!r}", offset=0)
-    s1, s2 = _decode_fields(body, 2)
+    s1, s2 = decode_fields(body, 2)
     return Signature(s1=s1, s2=s2)
 
 
@@ -130,7 +117,7 @@ def parse_blinding_secret(data: bytes, n: int) -> "BlindingSecret":
     header, body = _open_envelope(data)
     if header != BLINDING_HEADER:
         raise ParseError(f"unknown header {header!r}", offset=0)
-    (x,) = _decode_fields(body, 1)
+    (x,) = decode_fields(body, 1)
     if math.gcd(x, n) != 1:
         raise ParseError("blinding value is not a unit for this modulus", offset=0)
     return BlindingSecret(x=x, x_inv=nt.mod_inv(x, n))

@@ -129,13 +129,26 @@ class PaillierResponderSession:
         return recovered
 
 
+def _check_prime(prime: int) -> None:
+    if prime < 3:
+        raise DomainError(f"the shared prime must be at least 3, got {prime}")
+    if not nt.is_probable_prime(prime, nt.DEFAULT_MR_ROUNDS):
+        raise DomainError(f"{prime} is not prime")
+
+
 @dataclass(frozen=True)
 class ShamirParty:
-    """Per-conversation exponent pair modulo a shared public prime."""
+    """Per-conversation exponent pair modulo a shared public prime, checked
+    when it is built."""
 
     prime: int
     e: int  # encryption exponent, coprime to prime - 1
     d: int  # decryption exponent, e^-1 mod prime - 1
+
+    def __post_init__(self):
+        _check_prime(self.prime)
+        if self.e * self.d % (self.prime - 1) != 1:
+            raise DomainError(f"d does not invert e modulo {self.prime - 1}")
 
 
 @dataclass(frozen=True)
@@ -148,8 +161,7 @@ class ShamirTranscript:
 
 def shamir_keygen(prime: int, rng: nt.RandomSource | None = None) -> ShamirParty:
     """Draw an exponent coprime to prime - 1 and invert it."""
-    if prime < 3 or not nt.is_probable_prime(prime, nt.DEFAULT_MR_ROUNDS):
-        raise DomainError(f"{prime} is not a usable prime")
+    _check_prime(prime)
     rng = rng if rng is not None else nt.system_random()
     while True:
         e = rng.randrange(1, prime - 1)

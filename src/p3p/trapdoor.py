@@ -11,7 +11,7 @@ semantically secure -- it trades randomness for a halved expansion factor.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, InadmissibleMessage, MalformedCiphertext
+from .errors import DomainError, InadmissibleMessage
 from .paillier import Ciphertext, PrivateKey, PublicKey, _raw_encrypt, split_residue
 from .paillier import _check_ciphertext_value, _check_key
 
@@ -50,28 +50,18 @@ def decompose(m: int, n: int) -> WideMessage:
 def tp_encrypt(pk: PublicKey, m: int) -> Ciphertext:
     """Deterministic ciphertext g^low * high^n mod n^2 of an admissible m."""
     wide = decompose(m, pk.n)
-    if wide.inadmissible_reason == REASON_ZERO_QUOTIENT:
-        raise InadmissibleMessage(
-            f"message {m} is below n; its n-adic quotient is zero",
-            REASON_ZERO_QUOTIENT,
-        )
-    if wide.inadmissible_reason == REASON_NOT_COPRIME:
-        raise InadmissibleMessage(
-            f"n-adic quotient {wide.high} shares a factor with n",
-            REASON_NOT_COPRIME,
-        )
+    if not wide.admissible:
+        reason = wide.inadmissible_reason
+        raise InadmissibleMessage(f"inadmissible message: {reason}", reason)
     return Ciphertext(_raw_encrypt(pk, wide.low, wide.high), pk.fingerprint)
 
 
 def tp_decrypt(sk: PrivateKey, c: Ciphertext) -> int:
     """Invert tp_encrypt: class gives the low digit, the residue's principal
-    root gives the high digit."""
+    root gives the high digit. The principal root of a unit is a unit, so
+    every accepted ciphertext decrypts into the admissible domain."""
     pk = sk.public
     _check_key(pk, c)
     _check_ciphertext_value(pk, c.value)
     low, high = split_residue(sk, c.value)
-    if high == 0 or math.gcd(high, pk.n) != 1:
-        raise MalformedCiphertext(
-            f"recovered quotient {high} is outside the admissible domain"
-        )
     return high * pk.n + low

@@ -16,7 +16,7 @@ against the modulus bounds and violations raise RangeError.
 import enum
 from dataclasses import dataclass
 
-from .encoding import decode_uint, encode_uint, int_to_bytes
+from .encoding import decode_fields, encode_uint, int_to_bytes
 from .errors import ParseError, RangeError
 from .paillier import PublicKey
 
@@ -65,10 +65,7 @@ def key_announce(n: int, g: int) -> WireMessage:
 def parse_key_announce(msg: WireMessage) -> tuple[int, int]:
     if msg.msg_type is not MsgType.KEY_ANNOUNCE:
         raise ParseError(f"expected key announce, got {msg.msg_type.name}")
-    n, offset = decode_uint(msg.payload, 0)
-    g, offset = decode_uint(msg.payload, offset)
-    if offset != len(msg.payload):
-        raise ParseError("trailing bytes after key announce fields", offset=offset)
+    n, g = decode_fields(msg.payload, 2)
     return n, g
 
 

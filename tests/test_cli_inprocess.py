@@ -188,6 +188,41 @@ def test_shamir_demo_rejects_composite_with_forced_exponents(capsys):
     assert "21 is not prime" in capsys.readouterr().err
 
 
+def test_shamir_demo_rejects_an_exponent_sharing_a_factor_with_p_minus_one(capsys):
+    code = cli.main(["shamir-demo", "--prime", "23", "--exp-a", "2", "--message", "3"])
+    assert code == 2
+    assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+# Every hex argument, as integer or as bytes to hash, follows bytes.fromhex.
+HEX_COMMANDS = {
+    "encrypt": ["--key", "{k}.pub", "--message"],
+    "decrypt": ["--key", "{k}.key", "--ciphertext"],
+    "tp-encrypt": ["--key", "{k}.pub", "--message"],
+    "tp-decrypt": ["--key", "{k}.key", "--ciphertext"],
+    "blind": ["--key", "{k}.pub", "--secret-out", "{t}/b.secret", "--message"],
+    "sign-raw": ["--key", "{k}.key", "--out", "{t}/m.sig", "--message"],
+    "sign": ["--key", "{k}.key", "--out", "{t}/m.sig", "--message"],
+}
+
+
+@pytest.mark.parametrize("text", ["0x2a", "2_a", " 2a"])
+@pytest.mark.parametrize("command", sorted(HEX_COMMANDS))
+def test_hex_arguments_share_one_rule(keypair, tmp_path, capsys, command, text):
+    argv = [a.format(k=keypair, t=tmp_path) for a in HEX_COMMANDS[command]]
+    assert cli.main([command, *argv, text]) == 1
+    assert error_lines(capsys.readouterr().err) == [
+        f"error: {argv[-1][2:]} must be hexadecimal, got {text!r}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", sorted(set(HEX_COMMANDS) - {"sign"}))
+def test_an_empty_integer_argument_is_a_usage_error(keypair, tmp_path, capsys, command):
+    argv = [a.format(k=keypair, t=tmp_path) for a in HEX_COMMANDS[command]]
+    assert cli.main([command, *argv, ""]) == 1
+    assert len(error_lines(capsys.readouterr().err)) == 1
+
+
 @pytest.fixture
 def umask_022():
     old = os.umask(0o022)

@@ -138,8 +138,23 @@ def test_star_import_binds_exactly_all_and_dir_lists_it():
     assert set(p3p.__all__) <= set(dir(p3p))
 
 
-def test_timeout_default_is_nets():
-    parser = cli.build_parser()
-    listen = parser.parse_args(["3pass-listen", "--port", "0"])
-    send = parser.parse_args(["3pass-send", "--addr", "h:1", "--key", "k", "--message", "2a"])
-    assert listen.timeout == send.timeout == net.DEFAULT_TIMEOUT
+def test_timeout_default_is_nets(tmp_path, monkeypatch):
+    # Spies stand in for the network, so no socket is opened.
+    seen = []
+
+    def send_spy(host, port, session, rng, timeout):
+        seen.append(("send", timeout))
+        return net.InitiatorOutcome(pass1=1, pass2=2, pass3=3, frames=())
+
+    monkeypatch.setattr(net, "send_over_tcp", send_spy)
+    monkeypatch.setattr(net, "serve_three_pass",
+                        lambda **kwargs: seen.append(("listen", kwargs["timeout"])))
+    monkeypatch.setattr(net, "DEFAULT_TIMEOUT", 7.25)
+    key = tmp_path / "k"
+    assert cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(key)]) == 0
+    for flags, expected in (([], 7.25), (["--timeout", "2.5"], 2.5)):
+        seen.clear()
+        assert cli.main(["3pass-listen", "--port", "0", *flags]) == 0
+        assert cli.main(["3pass-send", "--addr", "h:1", "--key", f"{key}.key",
+                         "--message", "2a", *flags]) == 0
+        assert seen == [("listen", expected), ("send", expected)]

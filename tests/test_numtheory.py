@@ -147,12 +147,13 @@ def test_keygen_rounds_by_prime_size():
 def test_outside_numbers_keep_the_default_rounds(primality_calls, capsys):
     paillier.from_primes(1019, 1021)
     assert len(primality_calls) == 2
+    # shamir_keygen checks the prime, and so does the ShamirParty it builds
     threepass.shamir_keygen(1019, random.Random(0))
-    assert len(primality_calls) == 3
+    assert len(primality_calls) == 4
     assert cli.main(["shamir-demo", "--prime", "1019", "--message", "3",
                      "--seed", "0"]) == 0
     assert "recovered 3" in capsys.readouterr().out
-    assert len(primality_calls) == 6
+    assert len(primality_calls) == 8
     assert min(r for _, r in primality_calls) >= nt.DEFAULT_MR_ROUNDS
 
 

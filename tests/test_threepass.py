@@ -239,6 +239,17 @@ def test_shamir_keygen_rejects_non_primes():
         shamir_keygen(2)
 
 
+@pytest.mark.parametrize("prime, e, d", [
+    (23, 2, 1),  # e shares a factor with 22
+    (23, 5, 3),  # d does not invert e
+    (21, 7, 3),  # 21 is composite, though 7 * 3 = 1 mod 20
+    (2, 1, 1),  # below 3
+])
+def test_shamir_party_checks_itself(prime, e, d):
+    with pytest.raises(DomainError):
+        ShamirParty(prime=prime, e=e, d=d)
+
+
 def test_shamir_exchange_pinned_transcript():
     a = ShamirParty(prime=23, e=5, d=9)
     b = ShamirParty(prime=23, e=7, d=19)

@@ -7,7 +7,7 @@ from p3p.errors import DomainError, InadmissibleMessage, KeyMismatch, MalformedC
 from p3p.paillier import Ciphertext
 from p3p.trapdoor import REASON_NOT_COPRIME, REASON_ZERO_QUOTIENT
 
-from conftest import KEY15
+from conftest import KEY15, KEY35
 from oracles import brute_force_class, egcd_inverse, units
 
 PK15 = KEY15.public
@@ -76,16 +76,20 @@ def test_tp_decrypt_known_answer_with_step_oracle():
 
 
 def test_tp_roundtrip_exhaustive_and_injective():
-    domain = admissible_messages(15)
-    assert len(domain) == 120  # 8 coprime quotients x 15 remainders
-    images = set()
-    for m in domain:
-        c = trapdoor.tp_encrypt(PK15, m)
-        images.add(c.value)
-        assert trapdoor.tp_decrypt(KEY15, c) == m
-    assert len(images) == len(domain)
-    # exactly the units of n^2: the map is a permutation onto them
-    assert images == set(units(225))
+    # 8 coprime quotients x 15 remainders; 24 x 35 at n = 35
+    for sk, size in ((KEY15, 120), (KEY35, 840)):
+        n = sk.public.n
+        domain = admissible_messages(n)
+        assert len(domain) == size
+        images = set()
+        for m in domain:
+            c = trapdoor.tp_encrypt(sk.public, m)
+            images.add(c.value)
+            assert trapdoor.tp_decrypt(sk, c) == m
+        assert len(images) == len(domain)
+        # exactly the units of n^2: the map is a permutation onto them, so
+        # every unit decrypts into the admissible domain
+        assert images == set(units(n * n))
 
 
 def test_tp_edge_vector_m_equals_n():
@@ -101,8 +105,6 @@ def test_tp_decrypt_rejects_non_units(bad):
 
 
 def test_tp_decrypt_rejects_cross_key():
-    from conftest import KEY35
-
     c = trapdoor.tp_encrypt(PK15, 37)
     with pytest.raises(KeyMismatch):
         trapdoor.tp_decrypt(KEY35, c)

@@ -27,6 +27,16 @@ def test_key_announce_golden_vector():
     assert wire.parse_key_announce(wire.decode_msg(frame)) == (15, 16)
 
 
+@pytest.mark.parametrize("payload", [
+    bytes.fromhex("000000010f000000011000"),  # a trailing byte
+    bytes.fromhex("000000010f0000000110")[:-1],  # g truncated
+    bytes.fromhex("000000010f"),  # g missing
+])
+def test_key_announce_holds_exactly_two_fields(payload):
+    with pytest.raises(ParseError):
+        wire.parse_key_announce(WireMessage(MsgType.KEY_ANNOUNCE, payload))
+
+
 def test_zero_payload_is_canonical_empty():
     frame = wire.encode_msg(wire.pass_message(MsgType.PASS3, 0))
     assert frame == bytes.fromhex("50335050010300000000")

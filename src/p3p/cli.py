@@ -293,9 +293,7 @@ def _cmd_shamir_demo(args) -> int:
     def party(forced_e):
         if forced_e is None:
             return threepass.shamir_keygen(args.prime, rng)
-        return threepass.ShamirParty(
-            prime=args.prime, e=forced_e, d=nt.mod_inv(forced_e, args.prime - 1)
-        )
+        return threepass.shamir_party(args.prime, forced_e)
 
     transcript = threepass.shamir_exchange(
         party(args.exp_a), party(args.exp_b), args.message

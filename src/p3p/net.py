@@ -7,11 +7,13 @@ randomness). Each outcome records the raw frames in conversation order
 for transcript comparison.
 
 A malformed or unexpected frame makes the runner send a best-effort ERROR
-frame and raise ProtocolError; a silent peer raises ProtocolTimeout after
-the channel's timeout. Over TCP that timeout is a deadline for the whole
-conversation, so a peer that sends slowly cannot hold a session open
-either. The runners never close their channel: the caller that opened it
-closes it, on every path.
+frame and raise ProtocolError, whichever transport carried it; a socket
+checks each header before it reads the payload, so a bad header ends the
+session at once. A silent peer raises ProtocolTimeout after the channel's
+timeout. Over TCP that timeout is a deadline for the whole conversation,
+so a peer that sends slowly cannot hold a session open either. The
+runners never close their channel: the caller that opened it closes it, on
+every path.
 """
 
 import queue
@@ -35,9 +37,9 @@ from .paillier import PublicKey
 from .threepass import PaillierInitiatorSession, PaillierResponderSession
 from .wire import (
     HEADER_LEN,
-    MAX_PAYLOAD,
     MsgType,
     WireMessage,
+    check_header,
     decode_msg,
     encode_msg,
     error_message,
@@ -76,9 +78,7 @@ class SocketChannel:
 
     def recv(self) -> bytes:
         header = self._read_exact(HEADER_LEN)
-        length = int.from_bytes(header[6:10], "big")
-        if length > MAX_PAYLOAD:
-            raise ProtocolError(f"peer announces oversized payload ({length} bytes)")
+        _, length = check_header(header)
         return header + self._read_exact(length)
 
     def _read_exact(self, count: int) -> bytes:
@@ -175,10 +175,9 @@ def _abort(channel, reason: str) -> ProtocolError:
 def _recv_expect(
     channel, frames: list, expected: MsgType, pk: PublicKey
 ) -> WireMessage:
-    frame = channel.recv()
-    frames.append(frame)
     try:
-        msg = decode_msg(frame, pk)
+        frames.append(channel.recv())
+        msg = decode_msg(frames[-1], pk)
     except (ParseError, RangeError) as exc:
         raise MalformedMessage(f"bad frame: {exc}") from exc
     if msg.msg_type is MsgType.ERROR:
@@ -188,9 +187,10 @@ def _recv_expect(
     return msg
 
 
-def _announced_key(frame: bytes) -> PublicKey:
+def _announced_key(channel, frames: list) -> PublicKey:
     try:
-        n, g = parse_key_announce(decode_msg(frame))
+        frames.append(channel.recv())
+        n, g = parse_key_announce(decode_msg(frames[0]))
     except ParseError as exc:
         raise MalformedMessage(f"bad key announce: {exc}") from exc
     try:
@@ -216,7 +216,6 @@ def run_initiator(
         _send(channel, frames, pass_message(MsgType.PASS3, pass3))
     except MalformedMessage as exc:
         raise _abort(channel, str(exc)) from exc
-    session.mark_done()
     return InitiatorOutcome(
         pass1=pass1, pass2=pass2, pass3=pass3, frames=tuple(frames)
     )
@@ -228,8 +227,7 @@ def run_responder(
     """Drive the receiver side; returns the recovered message."""
     frames: list[bytes] = []
     try:
-        frames.append(channel.recv())
-        pk = _announced_key(frames[0])
+        pk = _announced_key(channel, frames)
         session = PaillierResponderSession(pk)
         session.choose_secret(rng)  # while the initiator encrypts pass 1
         pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value

@@ -148,9 +148,8 @@ class PrivateKey:
         public = PublicKey(n=p * q, g=g)
         n, n_squared = public.n, public.n_squared
         lam = math.lcm(p - 1, q - 1)
-        common = math.gcd(n, lam)
-        if common != 1:
-            raise DomainError(f"gcd(n, lambda) = {common} != 1; key unusable")
+        if math.gcd(n, lam) != 1:
+            raise DomainError("gcd(n, lambda) != 1; key unusable")
         # The CRT coefficients of p; q's follow from them without an inverse.
         # u^2 (3 - 2u) lifts an idempotent u mod n to one mod n^2.
         u_p = q * nt.mod_inv(q, p)
@@ -165,7 +164,7 @@ class PrivateKey:
             try:
                 inverse = nt.mod_inv(l_value * k, r)
             except NotInvertible:
-                raise DomainError(f"{g} is not a residue base for n={n}") from None
+                raise DomainError("g is not a residue base for n") from None
             halves.append(
                 _Half(r, r * r, inverse * k % r, nt.mod_inv(n, r - 1), n % (r - 1), u, u2)
             )
@@ -234,7 +233,7 @@ def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
 
 def _check_plaintext(pk: PublicKey, m: int) -> None:
     if not 0 <= m < pk.n:
-        raise PlaintextOutOfRange(f"plaintext must be in [0, {pk.n}), got {m}")
+        raise PlaintextOutOfRange("plaintext must be in [0, n)")
 
 
 def _check_key(pk: PublicKey, *ciphertexts: Ciphertext) -> None:
@@ -290,13 +289,13 @@ def encrypt_with_nonce(pk: PublicKey, m: int, x: int) -> Ciphertext:
     """Deterministic form of encrypt with the unit x supplied by the caller."""
     _check_plaintext(pk, m)
     if x < 1 or math.gcd(x, pk.n) != 1:
-        raise NotInvertible(f"nonce {x} is not a unit modulo {pk.n}")
+        raise NotInvertible("nonce is not a unit modulo n")
     return Ciphertext(_raw_encrypt(pk, m, x), pk.fingerprint)
 
 
 def _check_ciphertext_value(pk: PublicKey, value: int) -> None:
     if not _is_unit(pk, value):
-        raise MalformedCiphertext(f"{value} is not a unit modulo n^2")
+        raise MalformedCiphertext("ciphertext is not a unit modulo n^2")
 
 
 def _class(sk: PrivateKey, w: int) -> int:
@@ -316,7 +315,7 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
     w = base^class * (n-th power of a unit)."""
     pk = sk.public
     if not _is_unit(pk, w):
-        raise DomainError(f"{w} is not a unit modulo n^2")
+        raise DomainError("w is not a unit modulo n^2")
     if base == pk.g:
         return _class(sk, w)
     if not _is_unit(pk, base):
@@ -325,7 +324,7 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
     try:
         denominator_inv = nt.mod_inv(_class(sk, base), pk.n)
     except NotInvertible:
-        raise DomainError(f"{base} is not a valid residue base") from None
+        raise DomainError("base is not a valid residue base") from None
     return _class(sk, w) * denominator_inv % pk.n
 
 

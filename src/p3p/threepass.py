@@ -14,7 +14,7 @@ is the natural misuse; every violation raises instead of desynchronizing.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import numtheory as nt
 from .errors import DomainError, MalformedMessage, ProtocolOrderViolation
@@ -24,7 +24,6 @@ from .paillier import PrivateKey, PublicKey, _check_plaintext, _class, _is_unit,
 class InitiatorState(enum.Enum):
     CREATED = "created"
     SENT_M1 = "sent-m1"
-    SENT_M3 = "sent-m3"
     DONE = "done"
 
 
@@ -61,18 +60,13 @@ class PaillierInitiatorSession:
         """Third pass: decrypt the responder's exponent-scaled ciphertext.
 
         The result is message * m2 mod n, a blinding of the message by the
-        responder's secret m2.
+        responder's secret m2. This step ends the initiator's session.
         """
         _require("initiator", self.state, InitiatorState.SENT_M1)
         if not _is_unit(self.sk.public, second_pass):
             raise MalformedMessage("second pass is not a unit modulo n^2")
-        self.state = InitiatorState.SENT_M3
-        return _class(self.sk, second_pass)
-
-    def mark_done(self) -> None:
-        """Record that the third pass was delivered (transport's call)."""
-        _require("initiator", self.state, InitiatorState.SENT_M3)
         self.state = InitiatorState.DONE
+        return _class(self.sk, second_pass)
 
 
 class PaillierResponderSession:
@@ -121,9 +115,7 @@ class PaillierResponderSession:
         """Divide the secret back out of the revealed product."""
         _require("responder", self.state, ResponderState.SENT_M2)
         if not 0 <= third_pass < self.pk.n:
-            raise MalformedMessage(
-                f"third pass must be below n, got {third_pass}"
-            )
+            raise MalformedMessage("third pass must be below n")
         recovered = third_pass * self._m2_inv % self.pk.n
         self.state = ResponderState.DONE
         return recovered
@@ -142,8 +134,8 @@ class ShamirParty:
     when it is built."""
 
     prime: int
-    e: int  # encryption exponent, coprime to prime - 1
-    d: int  # decryption exponent, e^-1 mod prime - 1
+    e: int = field(repr=False)  # encryption exponent, coprime to prime - 1
+    d: int = field(repr=False)  # decryption exponent, e^-1 mod prime - 1
 
     def __post_init__(self):
         _check_prime(self.prime)
@@ -166,7 +158,13 @@ def shamir_keygen(prime: int, rng: nt.RandomSource | None = None) -> ShamirParty
     while True:
         e = rng.randrange(1, prime - 1)
         if math.gcd(e, prime - 1) == 1:
-            break
+            return ShamirParty(prime=prime, e=e, d=nt.mod_inv(e, prime - 1))
+
+
+def shamir_party(prime: int, e: int) -> ShamirParty:
+    """The party with encryption exponent e; the prime is checked before e
+    is inverted modulo prime - 1."""
+    _check_prime(prime)
     return ShamirParty(prime=prime, e=e, d=nt.mod_inv(e, prime - 1))
 
 
@@ -176,7 +174,7 @@ def shamir_exchange(a: ShamirParty, b: ShamirParty, message: int) -> ShamirTrans
         raise DomainError("parties must share the same prime")
     p = a.prime
     if not 1 <= message < p:
-        raise DomainError(f"message must be in [1, {p}), got {message}")
+        raise DomainError("message must be in [1, p)")
     pass1 = pow(message, a.e, p)
     pass2 = pow(pass1, b.e, p)
     pass3 = pow(pass2, a.d, p)

@@ -36,7 +36,7 @@ class WideMessage:
 def decompose(m: int, n: int) -> WideMessage:
     """Split m < n^2 into its n-adic digits and flag admissibility."""
     if not 0 <= m < n * n:
-        raise DomainError(f"message must be in [0, n^2), got {m}")
+        raise DomainError("message must be in [0, n^2)")
     high, low = divmod(m, n)
     if high == 0:
         reason = REASON_ZERO_QUOTIENT

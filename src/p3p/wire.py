@@ -9,8 +9,9 @@ like everything else in the protocol). Error frames carry UTF-8 text.
 
 Decoding is strict: wrong magic, unknown version or type, inconsistent
 lengths, and non-canonical integers all raise ParseError with the byte
-offset of the fault. With a public key supplied, payloads are also checked
-against the modulus bounds and violations raise RangeError.
+offset of the fault; ``check_header`` alone holds the header rule. With a
+public key supplied, payloads are also checked against the modulus bounds
+and violations raise RangeError, naming no payload value.
 """
 
 import enum
@@ -84,8 +85,9 @@ def encode_msg(msg: WireMessage) -> bytes:
     )
 
 
-def decode_msg(data: bytes, pk: PublicKey | None = None) -> WireMessage:
-    """Parse one frame; with ``pk``, enforce modulus bounds on the payload."""
+def check_header(data: bytes) -> tuple[MsgType, int]:
+    """Check a frame's first HEADER_LEN bytes; return its type and payload
+    length. A stream reader calls it before reading any payload byte."""
     if len(data) < HEADER_LEN:
         raise ParseError(
             f"frame is {len(data)} bytes, header needs {HEADER_LEN}",
@@ -99,9 +101,15 @@ def decode_msg(data: bytes, pk: PublicKey | None = None) -> WireMessage:
         msg_type = MsgType(data[5])
     except ValueError:
         raise ParseError(f"unknown message type {data[5]}", offset=5) from None
-    length = int.from_bytes(data[6:10], "big")
+    length = int.from_bytes(data[6:HEADER_LEN], "big")
     if length > MAX_PAYLOAD:
         raise ParseError(f"payload length {length} exceeds cap", offset=6)
+    return msg_type, length
+
+
+def decode_msg(data: bytes, pk: PublicKey | None = None) -> WireMessage:
+    """Parse one frame; with ``pk``, enforce modulus bounds on the payload."""
+    msg_type, length = check_header(data)
     if len(data) != HEADER_LEN + length:
         raise ParseError(
             f"frame is {len(data)} bytes, header announces {HEADER_LEN + length}",
@@ -114,10 +122,9 @@ def decode_msg(data: bytes, pk: PublicKey | None = None) -> WireMessage:
         )
     msg = WireMessage(msg_type, payload)
     if pk is not None and msg_type in _INTEGER_TYPES:
-        bound = pk.n if msg_type is MsgType.PASS3 else pk.n_squared
-        if msg.value >= bound:
+        below_n = msg_type is MsgType.PASS3
+        if msg.value >= (pk.n if below_n else pk.n_squared):
             raise RangeError(
-                f"{msg_type.name} payload {msg.value} is not below "
-                f"{'n' if msg_type is MsgType.PASS3 else 'n^2'}"
+                f"{msg_type.name} payload is not below {'n' if below_n else 'n^2'}"
             )
     return msg

@@ -24,6 +24,14 @@ class ScriptedRandom:
         return value
 
 
+def read_to_end(sock):
+    """Every byte a peer sends until it closes the connection."""
+    chunks = []
+    while chunk := sock.recv(4096):
+        chunks.append(chunk)
+    return b"".join(chunks)
+
+
 @pytest.fixture
 def primality_calls(monkeypatch):
     """(candidate, rounds) of every is_probable_prime call made through the

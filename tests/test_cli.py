@@ -1,6 +1,7 @@
 import base64
 import os
 import re
+import socket
 import stat
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from p3p import keyfile, net
+from p3p import keyfile, net, wire
 from p3p.encoding import encode_uint
 from p3p.threepass import PaillierInitiatorSession
+
+from conftest import read_to_end
 
 CLI = [sys.executable, "-m", "p3p"]
 
@@ -236,6 +239,32 @@ def test_three_pass_over_tcp(keypair):
         out, err = listener.communicate(timeout=20)
         assert listener.returncode == 0, err
         assert "recovered 2a" in out
+    finally:
+        if listener.poll() is None:
+            listener.kill()
+            listener.communicate()
+
+
+def test_listener_answers_a_huge_pass_with_one_error_line():
+    listener = subprocess.Popen(
+        CLI + ["3pass-listen", "--port", "0", "--count", "1", "--timeout", "20"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        line = listener.stdout.readline()
+        match = re.search(r":(\d+)$", line.strip())
+        assert match, f"no port in {line!r}"
+        # a 20,001-bit first pass: far above n^2 = 225, and too long to print
+        huge = wire.pass_message(wire.MsgType.PASS1, 1 << 20000)
+        with socket.create_connection(("127.0.0.1", int(match.group(1))), timeout=20) as peer:
+            peer.sendall(wire.encode_msg(wire.key_announce(15, 16)) + wire.encode_msg(huge))
+            reply = wire.decode_msg(read_to_end(peer))
+        assert reply.msg_type is wire.MsgType.ERROR
+        out, err = listener.communicate(timeout=20)
+        assert listener.returncode == 2, err
+        assert err.splitlines() == ["error: bad frame: PASS1 payload is not below n^2"]
     finally:
         if listener.poll() is None:
             listener.kill()

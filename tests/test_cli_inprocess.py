@@ -194,6 +194,19 @@ def test_shamir_demo_rejects_an_exponent_sharing_a_factor_with_p_minus_one(capsy
     assert len(error_lines(capsys.readouterr().err)) == 1
 
 
+@pytest.mark.parametrize("prime, exponent, reason", [
+    ("21", "2", "error: 21 is not prime"),  # 2 has no inverse modulo 20 either
+    ("1", "3", "error: the shared prime must be at least 3, got 1"),
+])
+def test_shamir_demo_names_a_bad_prime_before_a_forced_exponent(
+    capsys, prime, exponent, reason
+):
+    code = cli.main(["shamir-demo", "--prime", prime, "--exp-a", exponent,
+                     "--message", "2"])
+    assert code == 2
+    assert error_lines(capsys.readouterr().err) == [reason]
+
+
 # Every hex argument, as integer or as bytes to hash, follows bytes.fromhex.
 HEX_COMMANDS = {
     "encrypt": ["--key", "{k}.pub", "--message"],
@@ -221,6 +234,20 @@ def test_an_empty_integer_argument_is_a_usage_error(keypair, tmp_path, capsys, c
     argv = [a.format(k=keypair, t=tmp_path) for a in HEX_COMMANDS[command]]
     assert cli.main([command, *argv, ""]) == 1
     assert len(error_lines(capsys.readouterr().err)) == 1
+
+
+# 5,000 hex digits: an integer whose decimal form Python refuses to print
+HUGE_HEX = "f" * 5000
+
+
+@pytest.mark.parametrize("command", ["encrypt", "decrypt", "tp-encrypt", "tp-decrypt"])
+def test_a_huge_integer_argument_is_one_error_line(keypair, tmp_path, capsys, command):
+    argv = [a.format(k=keypair, t=tmp_path) for a in HEX_COMMANDS[command]]
+    assert cli.main([command, *argv, HUGE_HEX]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(error_lines(captured.err)) == 1
+    assert len(captured.err) < 200
 
 
 @pytest.fixture

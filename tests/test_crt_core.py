@@ -143,9 +143,11 @@ def test_no_secret_in_any_repr():
     _, secret = signature.blind(sk.public, 2, random.Random(6))
     responder = threepass.PaillierResponderSession(sk.public)
     responder.choose_secret(random.Random(7))
-    secrets = [sk.p, sk.q, sk.lam, sk.mu, secret.x, responder._m2]
+    party = threepass.shamir_keygen(2**127 - 1, random.Random(8))
+    secrets = [sk.p, sk.q, sk.lam, sk.mu, secret.x, responder._m2, party.e, party.d]
     secrets += [value for h in sk.halves for value in (h.h, h.d)]
     shown = [repr(sk), repr(sk.halves), *map(str, sk.halves), repr(secret), repr(responder)]
+    shown += [repr(party)]
     for text in shown:
         for value in secrets:
             assert str(value) not in text and f"{value:x}" not in text.lower(), text

@@ -13,7 +13,7 @@ from p3p.errors import ProtocolError, ProtocolTimeout
 from p3p.threepass import PaillierInitiatorSession
 from p3p.wire import MsgType
 
-from conftest import KEY15, ScriptedRandom
+from conftest import KEY15, ScriptedRandom, read_to_end
 
 
 def run_pair(init_rng, resp_rng, message=7, timeout=5.0, sk=KEY15):
@@ -498,3 +498,33 @@ def test_ipv6_loopback_session():
     (outcome,) = result["outcomes"]
     assert outcome.recovered == 21
     assert outcome.frames == initiator.frames
+
+
+@pytest.mark.parametrize("header", [
+    b"JUNK" + bytes((1, 0)) + (64 << 10).to_bytes(4, "big"),  # bad magic, 64 KiB
+    wire.MAGIC + bytes((1, 0)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"),
+], ids=["bad-magic", "oversized"])
+def test_a_bad_header_ends_its_tcp_session_at_once_with_an_error_frame(header):
+    result = {}
+    started = time.monotonic()
+    worker, port = start_listener(result, sessions=1)  # a 10 s session timeout
+    with socket.create_connection(("127.0.0.1", port), timeout=5.0) as peer:
+        peer.sendall(header)  # and no payload: the responder must not wait for one
+        reply = wire.decode_msg(read_to_end(peer))
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    assert time.monotonic() - started < 1.5
+    assert reply.msg_type is MsgType.ERROR
+    assert reply.error_text.startswith("bad key announce: ")
+    assert type(result["error"]) is ProtocolError
+
+
+def test_responder_answers_a_huge_pass_with_an_error_frame():
+    init_channel, resp_channel = net.memory_channel_pair(timeout=2.0)
+    init_channel.send(wire.encode_msg(wire.key_announce(15, 16)))
+    # 20,001 bits: Python refuses to print it in decimal
+    init_channel.send(wire.encode_msg(wire.pass_message(MsgType.PASS1, 1 << 20000)))
+    with pytest.raises(ProtocolError, match="PASS1 payload is not below n\\^2"):
+        net.run_responder(resp_channel)
+    reply = wire.decode_msg(init_channel.recv())
+    assert reply.msg_type is MsgType.ERROR

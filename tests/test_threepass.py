@@ -136,18 +136,15 @@ def test_initiator_state_machine_rejects_misuse():
     session = PaillierInitiatorSession(KEY15, 7)
     with pytest.raises(ProtocolOrderViolation):
         session.step3_reveal(83)
-    with pytest.raises(ProtocolOrderViolation):
-        session.mark_done()
     session.step1_send(ScriptedRandom([2]))
     with pytest.raises(ProtocolOrderViolation):
         session.step1_send(ScriptedRandom([2]))
     session.step3_reveal(196)
-    with pytest.raises(ProtocolOrderViolation):
-        session.step3_reveal(196)
-    session.mark_done()
     assert session.state is InitiatorState.DONE
     with pytest.raises(ProtocolOrderViolation):
-        session.mark_done()
+        session.step3_reveal(196)
+    with pytest.raises(ProtocolOrderViolation):
+        session.step1_send(ScriptedRandom([2]))
 
 
 def test_responder_state_machine_rejects_misuse():

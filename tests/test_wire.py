@@ -185,3 +185,40 @@ def test_fuzzed_frames_never_crash():
             failed += 1
     assert decoded + failed == 2000
     assert decoded > 0 and failed > 0
+
+
+def test_range_error_names_no_payload_value():
+    # 20,001 bits: Python refuses to print it in decimal
+    frame = wire.encode_msg(wire.pass_message(MsgType.PASS1, 1 << 20000))
+    with pytest.raises(RangeError, match="PASS1 payload is not below n\\^2"):
+        wire.decode_msg(frame, PK15)
+
+
+def random_header(rng):
+    """Mostly near-valid headers, so every check is reached often."""
+    magic = wire.MAGIC if rng.random() < 0.6 else rng.randbytes(4)
+    version = wire.VERSION if rng.random() < 0.7 else rng.randrange(256)
+    msg_type = rng.randrange(8) if rng.random() < 0.9 else rng.randrange(256)
+    length = rng.choice([
+        rng.randrange(40), wire.MAX_PAYLOAD, wire.MAX_PAYLOAD + 1, rng.randrange(1 << 32),
+    ])
+    return magic + bytes((version, msg_type)) + length.to_bytes(4, "big")
+
+
+def test_check_header_is_the_header_rule_of_decode_msg():
+    rng = random.Random(19)
+    accepted = 0
+    for _ in range(10_000):
+        header = random_header(rng)
+        try:
+            msg_type, length = wire.check_header(header)
+        except ParseError as exc:
+            with pytest.raises(ParseError) as excinfo:
+                wire.decode_msg(header)
+            assert excinfo.value.offset == exc.offset, header.hex()
+            continue
+        # decode_msg gets past it: the frame it announces decodes
+        payload = b"\x01" * length  # canonical for every type
+        assert wire.decode_msg(header + payload) == WireMessage(msg_type, payload)
+        accepted += 1
+    assert 1_000 < accepted < 9_000

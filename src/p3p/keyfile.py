@@ -118,6 +118,6 @@ def parse_blinding_secret(data: bytes, n: int) -> "BlindingSecret":
     if header != BLINDING_HEADER:
         raise ParseError(f"unknown header {header!r}", offset=0)
     (x,) = decode_fields(body, 1)
-    if math.gcd(x, n) != 1:
-        raise ParseError("blinding value is not a unit for this modulus", offset=0)
+    if not 1 <= x < n or math.gcd(x, n) != 1:
+        raise ParseError("blinding value is not a unit in [1, n)", offset=0)
     return BlindingSecret(x=x, x_inv=nt.mod_inv(x, n))

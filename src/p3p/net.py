@@ -224,12 +224,11 @@ def run_initiator(
 def run_responder(
     channel, rng: nt.RandomSource | None = None
 ) -> ResponderOutcome:
-    """Drive the receiver side; returns the recovered message."""
+    """Drive the receiver side; returns a ResponderOutcome."""
     frames: list[bytes] = []
     try:
         pk = _announced_key(channel, frames)
         session = PaillierResponderSession(pk)
-        session.choose_secret(rng)  # while the initiator encrypts pass 1
         pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value
         pass2 = session.step2_respond(pass1, rng)
         _send(channel, frames, pass_message(MsgType.PASS2, pass2))

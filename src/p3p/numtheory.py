@@ -52,11 +52,11 @@ def _rng(rng: RandomSource | None) -> RandomSource:
 def mod_inv(a: int, modulus: int) -> int:
     """Multiplicative inverse of a modulo modulus."""
     if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
+        raise DomainError("modulus must be at least 2")
     try:
         return pow(a, -1, modulus)
     except ValueError:
-        raise NotInvertible(f"{a} has no inverse modulo {modulus}") from None
+        raise NotInvertible("value has no inverse modulo the modulus") from None
 
 
 def l_function(u: int, n: int) -> int:
@@ -67,10 +67,10 @@ def l_function(u: int, n: int) -> int:
     precondition upstream).
     """
     if n < 2:
-        raise DomainError(f"modulus must be >= 2, got {n}")
+        raise DomainError("modulus must be at least 2")
     quotient, remainder = divmod(u - 1, n)
     if remainder:
-        raise DomainError(f"{u} is not 1 modulo {n}")
+        raise DomainError("value is not 1 modulo the modulus")
     return quotient
 
 
@@ -122,6 +122,13 @@ def is_probable_prime(candidate: int, rounds: int = DEFAULT_MR_ROUNDS) -> bool:
         return False
     witnesses = (_SYSTEM.randrange(2, candidate - 1) for _ in range(rounds))
     return all(_strong_round(candidate, a) for a in witnesses)
+
+
+def require_prime(candidate: int, name: str) -> None:
+    """The check of a prime from outside: DEFAULT_MR_ROUNDS Miller-Rabin
+    rounds, else DomainError naming the argument, never its value."""
+    if not is_probable_prime(candidate, DEFAULT_MR_ROUNDS):
+        raise DomainError(f"{name} is not prime")
 
 
 def _strong_round(candidate: int, a: int) -> bool:
@@ -180,7 +187,7 @@ def random_unit(modulus: int, rng: RandomSource | None = None) -> int:
     a modular reduction of a wider draw would not.
     """
     if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
+        raise DomainError("modulus must be at least 2")
     rng = _rng(rng)
     while True:
         x = rng.randrange(1, modulus)

@@ -75,7 +75,7 @@ class PublicKey:
 
     def __post_init__(self):
         if self.n < 2:
-            raise DomainError(f"modulus {self.n} is too small")
+            raise DomainError("modulus is too small: n must be at least 2")
         object.__setattr__(self, "n_squared", self.n * self.n)
         if not _is_unit(self, self.g):
             raise DomainError("base is not a unit modulo n^2")
@@ -223,11 +223,10 @@ def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
     """Key from explicit primes; meant for toy moduli in tests and demos.
 
     ``g`` defaults to n + 1. Raises DomainError unless p and q pass
-    ``is_probable_prime`` and PrivateKey accepts them (p=3, q=7 it does not).
+    ``numtheory.require_prime`` and PrivateKey accepts them (p=3, q=7 it does not).
     """
-    for candidate in (p, q):
-        if not nt.is_probable_prime(candidate, nt.DEFAULT_MR_ROUNDS):
-            raise DomainError(f"{candidate} is not prime")
+    nt.require_prime(p, "p")
+    nt.require_prime(q, "q")
     return PrivateKey(p, q, p * q + 1 if g is None else g)
 
 
@@ -288,8 +287,8 @@ def encrypt(
 def encrypt_with_nonce(pk: PublicKey, m: int, x: int) -> Ciphertext:
     """Deterministic form of encrypt with the unit x supplied by the caller."""
     _check_plaintext(pk, m)
-    if x < 1 or math.gcd(x, pk.n) != 1:
-        raise NotInvertible("nonce is not a unit modulo n")
+    if not 1 <= x < pk.n or math.gcd(x, pk.n) != 1:
+        raise NotInvertible("nonce is not a unit in [1, n)")
     return Ciphertext(_raw_encrypt(pk, m, x), pk.fingerprint)
 
 

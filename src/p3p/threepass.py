@@ -72,60 +72,47 @@ class PaillierInitiatorSession:
 class PaillierResponderSession:
     """Receiver role: holds no long-term keys, only a per-run secret.
 
-    By default the secret exponent m2 is x^n mod n for a random unit x;
-    ``hardened=False`` takes x itself. Every key PrivateKey accepts has
-    gcd(n, lambda) = 1, so x -> x^n mod n permutes the units modulo n and
-    both samplers give a uniform unit, and the third pass m * m2 mod n
-    that the initiator reveals has the same distribution under either.
-    They differ only in which unit a given draw maps to.
+    The secret exponent m2 is a uniform unit x modulo n, drawn in step 2
+    once the first pass has been checked; nothing is drawn or computed
+    before, so a key announce costs the responder only its PublicKey.
+    ``hardened=True`` takes m2 = x^n mod n instead, kept for the worked
+    example: every key PrivateKey accepts has gcd(n, lambda) = 1, so
+    x -> x^n mod n permutes the units modulo n and both samplers give a
+    uniform unit. They differ only in which unit a given draw maps to.
     """
 
-    def __init__(self, pk: PublicKey, hardened: bool = True):
+    def __init__(self, pk: PublicKey, hardened: bool = False):
         self.pk = pk
         self.hardened = hardened
         self.state = ResponderState.CREATED
         self._m2 = None
-        self._m2_inv = None
-
-    def choose_secret(self, rng: nt.RandomSource | None = None) -> None:
-        """Draw the secret m2; it depends only on the key, not on the first pass."""
-        _require("responder", self.state, ResponderState.CREATED)
-        if self._m2 is not None:
-            raise ProtocolOrderViolation("responder secret is already chosen")
-        pk = self.pk
-        if self.hardened:
-            x = nt.random_unit(pk.n, rng)
-            self._m2 = pow(x, pk.n, pk.n)
-        else:
-            self._m2 = nt.random_unit(pk.n, rng)
-        self._m2_inv = nt.mod_inv(self._m2, pk.n)
 
     def step2_respond(self, first_pass: int, rng: nt.RandomSource | None = None) -> int:
         """Second pass: raise the initiator's ciphertext to the secret m2,
-        drawn here from ``rng`` unless choose_secret already drew it."""
+        drawn here from ``rng``."""
         _require("responder", self.state, ResponderState.CREATED)
-        if not _is_unit(self.pk, first_pass):
+        pk = self.pk
+        if not _is_unit(pk, first_pass):
             raise MalformedMessage("first pass is not a unit modulo n^2")
-        if self._m2 is None:
-            self.choose_secret(rng)
+        x = nt.random_unit(pk.n, rng)
+        self._m2 = pow(x, pk.n, pk.n) if self.hardened else x
         self.state = ResponderState.SENT_M2
-        return pow(first_pass, self._m2, self.pk.n_squared)
+        return pow(first_pass, self._m2, pk.n_squared)
 
     def step4_recover(self, third_pass: int) -> int:
         """Divide the secret back out of the revealed product."""
         _require("responder", self.state, ResponderState.SENT_M2)
         if not 0 <= third_pass < self.pk.n:
             raise MalformedMessage("third pass must be below n")
-        recovered = third_pass * self._m2_inv % self.pk.n
+        recovered = third_pass * nt.mod_inv(self._m2, self.pk.n) % self.pk.n
         self.state = ResponderState.DONE
         return recovered
 
 
 def _check_prime(prime: int) -> None:
     if prime < 3:
-        raise DomainError(f"the shared prime must be at least 3, got {prime}")
-    if not nt.is_probable_prime(prime, nt.DEFAULT_MR_ROUNDS):
-        raise DomainError(f"{prime} is not prime")
+        raise DomainError("the shared prime must be at least 3")
+    nt.require_prime(prime, "the shared prime")
 
 
 @dataclass(frozen=True)
@@ -140,7 +127,7 @@ class ShamirParty:
     def __post_init__(self):
         _check_prime(self.prime)
         if self.e * self.d % (self.prime - 1) != 1:
-            raise DomainError(f"d does not invert e modulo {self.prime - 1}")
+            raise DomainError("d does not invert e modulo prime - 1")
 
 
 @dataclass(frozen=True)

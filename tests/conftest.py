@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from p3p import from_primes
@@ -22,6 +25,17 @@ class ScriptedRandom:
             f"scripted value {value} outside [{start}, {stop})"
         )
         return value
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env():
+    """The environment for a child process, with src first on its
+    PYTHONPATH, so the child imports this checkout's p3p without an install."""
+    env = os.environ.copy()
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
 
 
 def read_to_end(sock):

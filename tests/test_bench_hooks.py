@@ -12,6 +12,8 @@ from pathlib import Path
 from p3p import cli
 from p3p import numtheory as nt
 
+from conftest import child_env
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -65,7 +67,7 @@ def test_importing_the_cli_leaves_the_sieve_product_unbuilt():
     code = ("import p3p.cli, p3p.numtheory as nt; "
             "print(nt._sieve_product.cache_info().currsize)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True).stdout
+                         text=True, check=True, env=child_env()).stdout
     assert out.strip() == "0"
 
 

@@ -14,13 +14,13 @@ from p3p import keyfile, net, wire
 from p3p.encoding import encode_uint
 from p3p.threepass import PaillierInitiatorSession
 
-from conftest import read_to_end
+from conftest import child_env, read_to_end
 
 CLI = [sys.executable, "-m", "p3p"]
 
 
 def run_cli(*args, env_extra=None, **kwargs):
-    env = os.environ.copy()
+    env = child_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -221,6 +221,7 @@ def test_three_pass_over_tcp(keypair):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=child_env(),
     )
     try:
         line = listener.stdout.readline()
@@ -251,6 +252,7 @@ def test_listener_answers_a_huge_pass_with_one_error_line():
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=child_env(),
     )
     try:
         line = listener.stdout.readline()
@@ -286,6 +288,7 @@ def test_parallel_listener_prints_whole_lines(keypair):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=child_env(),
     )
     try:
         line = listener.stdout.readline()

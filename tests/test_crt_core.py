@@ -142,7 +142,7 @@ def test_no_secret_in_any_repr():
     sk = paillier.keygen(64, rng=random.Random(5))
     _, secret = signature.blind(sk.public, 2, random.Random(6))
     responder = threepass.PaillierResponderSession(sk.public)
-    responder.choose_secret(random.Random(7))
+    responder.step2_respond(2, random.Random(7))
     party = threepass.shamir_keygen(2**127 - 1, random.Random(8))
     secrets = [sk.p, sk.q, sk.lam, sk.mu, secret.x, responder._m2, party.e, party.d]
     secrets += [value for h in sk.halves for value in (h.h, h.d)]

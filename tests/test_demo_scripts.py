@@ -1,26 +1,23 @@
 """The walkthroughs in scripts/ run end to end on a small seeded key, and
 the cross-version check passes on this interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import child_env
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_demo(script, args=("--bits", "128", "--seed", "1")):
-    env = os.environ.copy()
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=60,
     )
 

@@ -12,6 +12,8 @@ import textwrap
 import p3p
 from p3p import cli, net
 
+from conftest import child_env
+
 # Run in a fresh interpreter: encrypt, decrypt, sign and verify through
 # cli.main, then print every module that was loaded.
 EVERYDAY_COMMANDS = textwrap.dedent("""
@@ -64,7 +66,7 @@ NO_OPENSSL = {"hashlib", "_hashlib"}
 
 def loaded_modules(code, *args):
     done = subprocess.run([sys.executable, "-c", code, *args],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=child_env())
     assert done.returncode == 0, done.stderr
     return set(done.stdout.split())
 
@@ -106,7 +108,7 @@ FALLBACK_DIGESTS = textwrap.dedent("""
 
 def test_hashlib_fallback_gives_the_same_digests():
     done = subprocess.run([sys.executable, "-c", FALLBACK_DIGESTS],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=child_env())
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == [
         # fingerprint_modulus(15) and (35): sha256 of the bytes 0x0f and 0x23

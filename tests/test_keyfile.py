@@ -182,3 +182,10 @@ def test_blinding_secret_checked_against_modulus():
     data = keyfile.serialize_blinding_secret(BlindingSecret(x=5, x_inv=0))
     with pytest.raises(ParseError, match="unit"):
         keyfile.parse_blinding_secret(data, 15)
+
+
+def test_blinding_secret_must_lie_below_the_modulus():
+    # 17 is coprime to 15 but not below it
+    data = keyfile.serialize_blinding_secret(BlindingSecret(x=17, x_inv=8))
+    with pytest.raises(ParseError, match="unit"):
+        keyfile.parse_blinding_secret(data, 15)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import math
 import random
 import socket
 import threading
@@ -31,11 +32,13 @@ def run_pair(init_rng, resp_rng, message=7, timeout=5.0, sk=KEY15):
     return results["initiator"], results["responder"]
 
 
-def test_memory_run_hardened_known_transcript():
+def test_memory_run_known_transcript():
     initiator, responder = run_pair(ScriptedRandom([2]), ScriptedRandom([2]))
-    assert (initiator.pass1, initiator.pass2, initiator.pass3) == (83, 166, 11)
+    assert (initiator.pass1, initiator.pass2, initiator.pass3) == (83, 139, 14)
+    assert initiator.pass2 == pow(83, 2, 225)
+    assert initiator.pass3 == 7 * 2 % 15
     assert responder.recovered == 7
-    assert (responder.pass1, responder.pass2, responder.pass3) == (83, 166, 11)
+    assert (responder.pass1, responder.pass2, responder.pass3) == (83, 139, 14)
     assert initiator.frames == responder.frames
 
 
@@ -396,9 +399,10 @@ def test_listener_keeps_nothing_of_finished_sessions(parallel):
     assert "bad key announce" in str(result["error"])
 
 
-# sha256 of the frames of one seeded session. How the key owner computes
-# x^n and when the responder draws its secret must not change them.
-PINNED_SESSION_SHA256 = "297b5b3d0d501e62fd0a7069ddac8a634d5dd312ccbb9a17c0b50b4341f796ee"
+# sha256 of the frames of one seeded session, whose pass 2 is pass 1 raised
+# to the responder's first draw (checked below). How the key owner computes
+# x^n must not change them.
+PINNED_SESSION_SHA256 = "8574912a8a809452df3bd7b748ceb248bb9c1d0379a26b228dbc7c33466a610d"
 
 
 def test_seeded_512_bit_session_frames_are_pinned():
@@ -417,6 +421,10 @@ def test_seeded_512_bit_session_frames_are_pinned():
     assert not worker.is_alive()
     assert results["responder"].recovered == message
     assert results["responder"].frames == initiator.frames
+    n = sk.public.n
+    m2 = random.Random(2).randrange(1, n)  # the responder's first draw, a unit
+    assert math.gcd(m2, n) == 1
+    assert initiator.pass2 == pow(initiator.pass1, m2, n * n)
     digest = hashlib.sha256(b"".join(initiator.frames)).hexdigest()
     assert digest == PINNED_SESSION_SHA256
 

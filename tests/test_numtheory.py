@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from p3p import cli, paillier, threepass
 from p3p import numtheory as nt
-from p3p.errors import DomainError, NotInvertible
+from p3p.errors import DomainError, NotInvertible, P3PError
 
 from conftest import ScriptedRandom
 from oracles import (
@@ -219,3 +219,27 @@ def test_keygen_modulus_is_often_one_bit_short():
     lengths = [paillier.keygen(64, rng=random.Random(seed)).public.n.bit_length()
                for seed in range(40)]
     assert set(lengths) == {127, 128}
+
+
+# Python will not print an int of more than 4,300 digits, so a message that
+# named one of these would raise ValueError in place of the P3PError.
+HUGE = {"2^20000": 2**20000, "-2^20000": -(2**20000), "2^20000+1": 2**20000 + 1}
+OUTSIDE_INTEGER_CALLS = {
+    "mod_inv-value": lambda v: nt.mod_inv(v, 6),
+    "mod_inv-modulus": lambda v: nt.mod_inv(2, v),
+    "l_function-value": lambda v: nt.l_function(v, 3),
+    "l_function-modulus": lambda v: nt.l_function(3, v),
+    "random_unit": lambda v: nt.random_unit(v),
+    "shamir_party": lambda v: threepass.shamir_party(v, 3),  # 641 divides 2^20000+1
+    "from_primes": lambda v: paillier.from_primes(v, 5),
+    "PublicKey": lambda v: paillier.PublicKey(v, 1),
+}
+
+
+@pytest.mark.parametrize("value", HUGE)
+@pytest.mark.parametrize("call", OUTSIDE_INTEGER_CALLS)
+def test_a_huge_outside_integer_raises_only_p3p_errors(call, value):
+    try:
+        OUTSIDE_INTEGER_CALLS[call](HUGE[value])
+    except P3PError:
+        pass  # any other exception fails the test

@@ -179,6 +179,12 @@ def test_encrypt_with_nonce_rejects_non_unit():
         paillier.encrypt_with_nonce(PK15, 3, 0)
 
 
+def test_encrypt_with_nonce_rejects_a_nonce_not_below_n():
+    # 17 is coprime to 15 and would encrypt as 2 does (83 for m = 7)
+    with pytest.raises(NotInvertible):
+        paillier.encrypt_with_nonce(PK15, 7, 17)
+
+
 def test_decrypt_known_answer_with_search_oracle():
     c = Ciphertext(83, PK15.fingerprint)
     assert paillier.decrypt(KEY15, c) == 7

@@ -160,26 +160,6 @@ def test_responder_state_machine_rejects_misuse():
         session.step4_recover(13)
 
 
-@pytest.mark.parametrize("hardened", [True, False])
-def test_secret_chosen_ahead_gives_the_same_second_pass(hardened):
-    sk = paillier.keygen(64, rng=random.Random(11))
-    c = paillier.encrypt(sk.public, 5, random.Random(12)).value
-    ahead = PaillierResponderSession(sk.public, hardened=hardened)
-    ahead.choose_secret(random.Random(13))
-    inline = PaillierResponderSession(sk.public, hardened=hardened)
-    assert ahead.step2_respond(c) == inline.step2_respond(c, random.Random(13))
-
-
-def test_responder_secret_is_chosen_once():
-    session = PaillierResponderSession(PK15)
-    session.choose_secret(ScriptedRandom([2]))
-    with pytest.raises(ProtocolOrderViolation):
-        session.choose_secret(ScriptedRandom([2]))
-    assert session.step2_respond(83) == 166  # x = 2 gives m2 = 8, as in the KAT
-    with pytest.raises(ProtocolOrderViolation):
-        session.choose_secret(ScriptedRandom([2]))
-
-
 def test_message_range_validated_at_session_creation():
     with pytest.raises(PlaintextOutOfRange):
         PaillierInitiatorSession(KEY15, 15)

@@ -6,7 +6,7 @@ rejects anything non-canonical so every byte string has at most one
 reading.
 """
 
-from .errors import ParseError
+from .errors import DomainError, ParseError
 
 LENGTH_PREFIX = 4
 
@@ -14,7 +14,7 @@ LENGTH_PREFIX = 4
 def int_to_bytes(value: int) -> bytes:
     """Minimal big-endian representation; b'' for zero."""
     if value < 0:
-        raise ValueError("only non-negative integers are encodable")
+        raise DomainError("only non-negative integers are encodable")
     return value.to_bytes((value.bit_length() + 7) // 8, "big")
 
 

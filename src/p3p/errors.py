@@ -9,8 +9,9 @@ class P3PError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DomainError(P3PError):
-    """An argument lies outside the mathematical domain of the operation."""
+class DomainError(P3PError, ValueError):
+    """An argument lies outside the domain of the operation; also a
+    ValueError, the builtin for a value an operation does not accept."""
 
 
 class NotInvertible(P3PError):
@@ -66,7 +67,7 @@ class ParseError(P3PError):
         self.offset = offset
 
 
-class RangeError(P3PError):
+class RangeError(ParseError):
     """Frame payload violates the modulus bound for its message type."""
 
 

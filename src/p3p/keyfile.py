@@ -39,7 +39,8 @@ def _envelope(header: str, body: bytes) -> bytes:
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
-def _open_envelope(data: bytes) -> tuple[str, bytes]:
+def _open_envelope(data: bytes, *headers: str) -> tuple[str, bytes]:
+    """Header and body of an envelope whose header is one of ``headers``."""
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
@@ -50,7 +51,10 @@ def _open_envelope(data: bytes) -> tuple[str, bytes]:
         body = base64.b64decode(body_text, validate=True)
     except (binascii.Error, ValueError):
         raise ParseError("body is not valid base64", offset=0) from None
-    return header.strip(), body
+    header = header.strip()
+    if header not in headers:
+        raise ParseError(f"unknown header {header!r}", offset=0)
+    return header, body
 
 
 def serialize_key(key: PublicKey | PrivateKey) -> bytes:
@@ -66,30 +70,28 @@ def serialize_key(key: PublicKey | PrivateKey) -> bytes:
 
 def parse_key(data: bytes) -> PublicKey | PrivateKey:
     """Parse either key kind; both are revalidated before being returned."""
-    header, body = _open_envelope(data)
+    header, body = _open_envelope(data, PUBLIC_HEADER, PRIVATE_HEADER)
     if header == PUBLIC_HEADER:
         n, g = decode_fields(body, 2)
         try:
             return PublicKey(n=n, g=g)
         except DomainError as exc:
             raise ParseError(f"invalid key: {exc}", offset=0) from None
-    if header == PRIVATE_HEADER:
-        n, g, p, q, lam, mu = decode_fields(body, 6)
-        if p * q != n:
-            raise ParseError("field mismatch: n is not p*q", offset=0)
-        for name, factor in (("p", p), ("q", q)):
-            if not nt.is_base2_probable_prime(factor):
-                raise ParseError(f"factor {name} is not prime", offset=0)
-        try:
-            key = PrivateKey(p, q, g)
-        except (DomainError, NotInvertible) as exc:
-            raise ParseError(f"invalid key: {exc}", offset=0) from None
-        if key.lam != lam:
-            raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
-        if key.mu != mu:
-            raise ParseError("field mismatch: mu does not invert L(g^lambda)", offset=0)
-        return key
-    raise ParseError(f"unknown header {header!r}", offset=0)
+    n, g, p, q, lam, mu = decode_fields(body, 6)
+    if p * q != n:
+        raise ParseError("field mismatch: n is not p*q", offset=0)
+    for name, factor in (("p", p), ("q", q)):
+        if not nt.is_base2_probable_prime(factor):
+            raise ParseError(f"factor {name} is not prime", offset=0)
+    try:
+        key = PrivateKey(p, q, g)
+    except (DomainError, NotInvertible) as exc:
+        raise ParseError(f"invalid key: {exc}", offset=0) from None
+    if key.lam != lam:
+        raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
+    if key.mu != mu:
+        raise ParseError("field mismatch: mu does not invert L(g^lambda)", offset=0)
+    return key
 
 
 def serialize_signature(sig: "Signature") -> bytes:
@@ -99,9 +101,7 @@ def serialize_signature(sig: "Signature") -> bytes:
 def parse_signature(data: bytes) -> "Signature":
     from .signature import Signature
 
-    header, body = _open_envelope(data)
-    if header != SIGNATURE_HEADER:
-        raise ParseError(f"unknown header {header!r}", offset=0)
+    _, body = _open_envelope(data, SIGNATURE_HEADER)
     s1, s2 = decode_fields(body, 2)
     return Signature(s1=s1, s2=s2)
 
@@ -114,9 +114,7 @@ def serialize_blinding_secret(secret: "BlindingSecret") -> bytes:
 def parse_blinding_secret(data: bytes, n: int) -> "BlindingSecret":
     from .signature import BlindingSecret
 
-    header, body = _open_envelope(data)
-    if header != BLINDING_HEADER:
-        raise ParseError(f"unknown header {header!r}", offset=0)
+    _, body = _open_envelope(data, BLINDING_HEADER)
     (x,) = decode_fields(body, 1)
     if not 1 <= x < n or math.gcd(x, n) != 1:
         raise ParseError("blinding value is not a unit in [1, n)", offset=0)

@@ -13,9 +13,11 @@ session at once. A silent peer raises ProtocolTimeout after the channel's
 timeout. Over TCP that timeout is a deadline for the whole conversation,
 so a peer that sends slowly cannot hold a session open either. The
 runners never close their channel: the caller that opened it closes it, on
-every path.
+every path. The TCP entry points check port and timeout before any socket
+call, and raise DomainError for one out of range.
 """
 
+import math
 import queue
 import random
 import socket
@@ -31,7 +33,6 @@ from .errors import (
     ParseError,
     ProtocolError,
     ProtocolTimeout,
-    RangeError,
 )
 from .paillier import PublicKey
 from .threepass import PaillierInitiatorSession, PaillierResponderSession
@@ -178,7 +179,7 @@ def _recv_expect(
     try:
         frames.append(channel.recv())
         msg = decode_msg(frames[-1], pk)
-    except (ParseError, RangeError) as exc:
+    except ParseError as exc:
         raise MalformedMessage(f"bad frame: {exc}") from exc
     if msg.msg_type is MsgType.ERROR:
         raise ProtocolError(f"peer reported: {msg.error_text}")
@@ -245,6 +246,13 @@ def run_responder(
     )
 
 
+def _check_endpoint(port: int, lowest_port: int, timeout: float) -> None:
+    if not lowest_port <= port <= 65535:
+        raise DomainError(f"port must be in {lowest_port}..65535")
+    if not 0 < timeout < math.inf:
+        raise DomainError("timeout must be a finite number > 0")
+
+
 def send_over_tcp(
     host: str,
     port: int,
@@ -253,6 +261,7 @@ def send_over_tcp(
     timeout: float = DEFAULT_TIMEOUT,
 ) -> InitiatorOutcome:
     """Connect to a listening responder and run the initiator role."""
+    _check_endpoint(port, 1, timeout)
     try:
         sock = socket.create_connection((host, port), timeout=timeout)
     except socket.timeout:
@@ -293,6 +302,7 @@ def serve_three_pass(
     with a colon is an IPv6 literal. An address that cannot be listened on
     raises ProtocolError.
     """
+    _check_endpoint(port, 0, timeout)
     outcomes: list[ResponderOutcome] = []
     report = on_outcome or outcomes.append
     failures: list[Exception] = []  # the first failure only

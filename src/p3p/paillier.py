@@ -93,7 +93,7 @@ class _Half:
     """A private key's arithmetic modulo one of its primes r and r^2.
 
     Each private-key operation applies one method to both halves and sums
-    the results times u (or u2); that sum is the CRT recombination
+    the results times u2, mod n or n^2; that sum is the CRT recombination
     (Paillier, EUROCRYPT '99, section 7). No repr: a half holds r.
     """
 
@@ -102,8 +102,7 @@ class _Half:
     h: int  # L_r(g^(r-1) mod r^2)^-1 mod r
     d: int  # n^-1 mod (r-1)
     e: int  # n mod (r-1)
-    u: int  # 1 mod r, 0 mod the other prime, below n
-    u2: int  # the same modulo n^2: 1 mod r^2, 0 mod the other square
+    u2: int  # 1 mod r^2, 0 mod the other square; so 1 mod r, 0 mod the other prime
 
     def class_(self, w: int) -> int:
         """Class of w mod r: Z*_{r^2} has order r(r-1), so w = g^s1 * x^n
@@ -150,7 +149,7 @@ class PrivateKey:
         lam = math.lcm(p - 1, q - 1)
         if math.gcd(n, lam) != 1:
             raise DomainError("gcd(n, lambda) != 1; key unusable")
-        # The CRT coefficients of p; q's follow from them without an inverse.
+        # The CRT coefficient of p; q's follows from it without an inverse.
         # u^2 (3 - 2u) lifts an idempotent u mod n to one mod n^2.
         u_p = q * nt.mod_inv(q, p)
         u2_p = u_p * u_p * (3 - 2 * u_p) % n_squared
@@ -158,7 +157,7 @@ class PrivateKey:
         # and k = lam/(r-1), a unit as gcd(n, lam) = 1. One inverse of l*k
         # gives both h = l^-1 and mu modulo r.
         halves, mu = [], 0
-        for r, other, u, u2 in ((p, q, u_p, u2_p), (q, p, n + 1 - u_p, (1 - u2_p) % n_squared)):
+        for r, other, u2 in ((p, q, u2_p), (q, p, (1 - u2_p) % n_squared)):
             l_value = nt.l_function(pow(g, r - 1, r * r), r)
             k = lam // (r - 1)
             try:
@@ -166,9 +165,9 @@ class PrivateKey:
             except NotInvertible:
                 raise DomainError("g is not a residue base for n") from None
             halves.append(
-                _Half(r, r * r, inverse * k % r, nt.mod_inv(n, r - 1), n % (r - 1), u, u2)
+                _Half(r, r * r, inverse * k % r, nt.mod_inv(n, r - 1), n % (r - 1), u2)
             )
-            mu += inverse * other % r * u
+            mu += inverse * other % r * u2
         derived = {"public": public, "lam": lam, "mu": mu % n, "halves": tuple(halves)}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
@@ -298,7 +297,7 @@ def _check_ciphertext_value(pk: PublicKey, value: int) -> None:
 
 
 def _class(sk: PrivateKey, w: int) -> int:
-    return sum(h.class_(w) * h.u for h in sk.halves) % sk.public.n
+    return sum(h.class_(w) * h.u2 for h in sk.halves) % sk.public.n
 
 
 def decrypt(sk: PrivateKey, c: Ciphertext) -> int:
@@ -339,7 +338,7 @@ def principal_root(sk: PrivateKey, value: int) -> int:
     ``value`` may be given modulo n^2 or larger; only its residues modulo
     p and q are used. Meaningful only when it is a unit modulo n.
     """
-    return sum(h.root(value) * h.u for h in sk.halves) % sk.public.n
+    return sum(h.root(value) * h.u2 for h in sk.halves) % sk.public.n
 
 
 def split_residue(sk: PrivateKey, w: int) -> tuple[int, int]:
@@ -352,7 +351,7 @@ def split_residue(sk: PrivateKey, w: int) -> tuple[int, int]:
     pk = sk.public
     s1 = extract_class(sk, w, pk.g)
     if pk.g != pk.n + 1:  # the default base is 1 mod n, so it divides out for free
-        w *= sum(pow(pk.g, -s1 % (h.r - 1), h.r) * h.u for h in sk.halves)
+        w *= sum(pow(pk.g, -s1 % (h.r - 1), h.r) * h.u2 for h in sk.halves)
     return s1, principal_root(sk, w)
 
 

@@ -10,7 +10,7 @@ blindness here covers the residue part only, not the class.
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .errors import InternalError, NotSignable
+from .errors import DomainError, InternalError, NotSignable
 from .paillier import PrivateKey, PublicKey, _is_unit, _nth_power, _raw_encrypt, split_residue
 from .paillier import sha256
 
@@ -107,4 +107,6 @@ def unblind(sig_blinded: Signature, secret: BlindingSecret, n: int) -> Signature
     Only the public modulus is needed, so the blinding party can unblind
     without any signer key material.
     """
+    if n < 2:
+        raise DomainError("modulus must be at least 2")
     return Signature(s1=sig_blinded.s1, s2=sig_blinded.s2 * secret.x_inv % n)

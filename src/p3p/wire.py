@@ -11,14 +11,15 @@ Decoding is strict: wrong magic, unknown version or type, inconsistent
 lengths, and non-canonical integers all raise ParseError with the byte
 offset of the fault; ``check_header`` alone holds the header rule. With a
 public key supplied, payloads are also checked against the modulus bounds
-and violations raise RangeError, naming no payload value.
+and violations raise RangeError, the ParseError that names no payload value.
+Building a frame that no reader would accept raises DomainError.
 """
 
 import enum
 from dataclasses import dataclass
 
 from .encoding import decode_fields, encode_uint, int_to_bytes
-from .errors import ParseError, RangeError
+from .errors import DomainError, ParseError, RangeError
 from .paillier import PublicKey
 
 MAGIC = b"P3PP"
@@ -55,7 +56,7 @@ class WireMessage:
 
 def pass_message(msg_type: MsgType, value: int) -> WireMessage:
     if msg_type not in _INTEGER_TYPES:
-        raise ValueError(f"{msg_type} does not carry a bare integer")
+        raise DomainError(f"{msg_type} does not carry a bare integer")
     return WireMessage(msg_type, int_to_bytes(value))
 
 
@@ -76,7 +77,7 @@ def error_message(text: str) -> WireMessage:
 
 def encode_msg(msg: WireMessage) -> bytes:
     if len(msg.payload) > MAX_PAYLOAD:
-        raise ValueError(f"payload exceeds {MAX_PAYLOAD} bytes")
+        raise DomainError(f"payload exceeds {MAX_PAYLOAD} bytes")
     return (
         MAGIC
         + bytes((VERSION, int(msg.msg_type)))
@@ -125,6 +126,7 @@ def decode_msg(data: bytes, pk: PublicKey | None = None) -> WireMessage:
         below_n = msg_type is MsgType.PASS3
         if msg.value >= (pk.n if below_n else pk.n_squared):
             raise RangeError(
-                f"{msg_type.name} payload is not below {'n' if below_n else 'n^2'}"
+                f"{msg_type.name} payload is not below {'n' if below_n else 'n^2'}",
+                offset=HEADER_LEN,
             )
     return msg

@@ -1,4 +1,5 @@
 import os
+import socket
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,18 @@ def read_to_end(sock):
     while chunk := sock.recv(4096):
         chunks.append(chunk)
     return b"".join(chunks)
+
+
+@pytest.fixture
+def no_sockets(monkeypatch):
+    """Make opening a TCP socket fail the test, for calls that must be
+    rejected before they connect or listen."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(socket, "create_connection", refuse)
+    monkeypatch.setattr(socket, "create_server", refuse)
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ import weakref
 import pytest
 
 from p3p import net, paillier, wire
-from p3p.errors import ProtocolError, ProtocolTimeout
+from p3p.errors import DomainError, ProtocolError, ProtocolTimeout
 from p3p.threepass import PaillierInitiatorSession
 from p3p.wire import MsgType
 
@@ -536,3 +536,31 @@ def test_responder_answers_a_huge_pass_with_an_error_frame():
         net.run_responder(resp_channel)
     reply = wire.decode_msg(init_channel.recv())
     assert reply.msg_type is MsgType.ERROR
+
+
+BAD_PORTS = [-1, 65536, 70000, 2**70]  # getaddrinfo wraps 70000 to 4464
+
+
+@pytest.mark.parametrize("port", [0, *BAD_PORTS])
+def test_send_rejects_a_port_outside_range_before_connecting(no_sockets, port):
+    session = PaillierInitiatorSession(KEY15, 7)
+    with pytest.raises(DomainError) as caught:
+        net.send_over_tcp("127.0.0.1", port, session)
+    assert str(caught.value) == "port must be in 1..65535"
+
+
+@pytest.mark.parametrize("port", BAD_PORTS)
+def test_serve_rejects_a_port_outside_range_before_binding(no_sockets, port):
+    with pytest.raises(DomainError) as caught:
+        net.serve_three_pass(port=port)
+    assert str(caught.value) == "port must be in 0..65535"
+
+
+@pytest.mark.parametrize("timeout", [math.nan, math.inf, -1.0, 0.0], ids=str)
+def test_tcp_entry_points_reject_a_timeout_not_finite_and_positive(no_sockets, timeout):
+    session = PaillierInitiatorSession(KEY15, 7)
+    for start in (lambda: net.send_over_tcp("127.0.0.1", 1, session, timeout=timeout),
+                  lambda: net.serve_three_pass(timeout=timeout)):
+        with pytest.raises(DomainError) as caught:
+            start()
+        assert str(caught.value) == "timeout must be a finite number > 0"

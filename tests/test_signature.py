@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from p3p import paillier, signature
-from p3p.errors import NotSignable
+from p3p import keyfile, paillier, signature
+from p3p.errors import DomainError, NotSignable
 from p3p.signature import BlindingSecret, Signature
 
 from conftest import KEY15, KEY35, ScriptedRandom
@@ -132,6 +132,17 @@ def test_unblind_known_chain():
     unblinded = signature.unblind(blinded_sig, secret, 15)
     assert unblinded == Signature(7, 2)
     assert unblinded == signature.sign_raw(KEY15, 83)
+
+
+@pytest.mark.parametrize("n", [0, 1, -15])
+def test_unblind_rejects_a_modulus_below_2(n):
+    with pytest.raises(DomainError, match="modulus must be at least 2"):
+        signature.unblind(Signature(7, 8), BlindingSecret(2, 8), n)
+
+
+def test_a_negative_signature_field_is_not_serialized():
+    with pytest.raises(DomainError):
+        keyfile.serialize_signature(Signature(-1, 2))
 
 
 def test_unblind_with_unit_one_is_identity():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from p3p import wire
-from p3p.errors import ParseError, RangeError
+from p3p import encoding, wire
+from p3p.errors import DomainError, ParseError, RangeError
 from p3p.wire import MsgType, WireMessage
 
 from conftest import KEY15
@@ -185,6 +185,27 @@ def test_fuzzed_frames_never_crash():
             failed += 1
     assert decoded + failed == 2000
     assert decoded > 0 and failed > 0
+
+
+def test_a_range_fault_is_a_parse_error_at_the_payload():
+    frame = wire.encode_msg(wire.pass_message(MsgType.PASS3, 15))
+    with pytest.raises(ParseError) as caught:
+        wire.decode_msg(frame, KEY15.public)
+    assert type(caught.value) is RangeError
+    assert caught.value.offset == wire.HEADER_LEN
+
+
+@pytest.mark.parametrize("build", [
+    lambda: encoding.int_to_bytes(-1),
+    lambda: wire.pass_message(MsgType.PASS1, -1),
+    lambda: wire.key_announce(-1, 2),
+    lambda: wire.encode_msg(WireMessage(MsgType.ERROR, bytes(wire.MAX_PAYLOAD + 1))),
+    lambda: wire.pass_message(MsgType.ERROR, 5),
+], ids=["int_to_bytes", "pass_message-negative", "key_announce", "encode_msg-oversized",
+        "pass_message-error-type"])
+def test_a_frame_no_reader_accepts_raises_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
 
 
 def test_range_error_names_no_payload_value():

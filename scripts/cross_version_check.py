@@ -5,9 +5,13 @@
 
 Exhaustively at n = 15 and 35, for the default base and the smallest other
 residue base: every unit w splits as w = g^s1 * s2^n mod n^2, and the key
-owner's x^n mod n^2 equals pow(x, n, n^2) for every x < n^2. Then it hashes
-serialize_key of seeded 256-bit keys and compares the digest with the one
-Python 3.11 gives. Prints one line per check; exits 1 on the first failure.
+owner's x^n mod n^2 equals pow(x, n, n^2) for every x < n^2. At n = 15 it
+runs the known blind -> sign_raw -> unblind chain, and the initiator's reveal
+rule for every unit message, unit nonce and unit second pass: a second pass
+is revealed iff it is c^k mod n^2 for the first pass c and some k < n. Then
+it hashes serialize_key of seeded 256-bit keys and compares the digest with
+the one Python 3.11 gives. Prints one line per check; exits 1 on the first
+failure.
 """
 
 import hashlib
@@ -15,8 +19,8 @@ import math
 import random
 import sys
 
-from p3p import keyfile, paillier
-from p3p.errors import DomainError
+from p3p import keyfile, paillier, signature, threepass
+from p3p.errors import DomainError, MalformedMessage
 
 # sha256 over serialize_key of keygen(128, strategy, Random(seed)) for
 # seeds 0-3 and both strategies, as Python 3.11.7 computes it
@@ -50,6 +54,48 @@ def check_toy_key(sk):
     return None
 
 
+class Draws:
+    """A random source that returns the given values in order."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def randrange(self, start, stop=None):
+        return self.values.pop(0)
+
+
+def check_blind_chain(sk):
+    pk = sk.public
+    blinded, secret = signature.blind(pk, 83, Draws(2))
+    blinded_sig = signature.sign_raw(sk, blinded)
+    unblinded = signature.unblind(blinded_sig, secret, pk.n)
+    chain = (blinded, (blinded_sig.s1, blinded_sig.s2), (unblinded.s1, unblinded.s2))
+    if chain != (169, (7, 4), (7, 2)):
+        return f"blind chain {chain}"
+    return None
+
+
+def check_reveal_rule(sk):
+    n, n2 = sk.public.n, sk.public.n_squared
+    units = [w for w in range(1, n2) if math.gcd(w, n) == 1]
+    small_units = [v for v in units if v < n]
+    for m in small_units:
+        for x in small_units:
+            c = paillier.encrypt_with_nonce(sk.public, m, x).value
+            powers = {pow(c, k, n2) for k in range(n)}
+            for w in units:
+                session = threepass.PaillierInitiatorSession(sk, m)
+                session.step1_send(Draws(x))
+                try:
+                    session.step3_reveal(w)
+                    revealed = True
+                except MalformedMessage:
+                    revealed = False
+                if revealed != (w in powers):
+                    return f"reveal(m = {m}, x = {x}, w = {w})"
+    return None
+
+
 def seeded_keys_digest():
     digest = hashlib.sha256()
     for strategy in paillier.BaseStrategy:
@@ -69,6 +115,13 @@ def main():
                 print(f"{version}: FAIL {label}: {failure}")
                 return 1
             print(f"{version}: ok {label}")
+    key15 = paillier.from_primes(3, 5)
+    for name, check in (("blind chain", check_blind_chain), ("reveal rule", check_reveal_rule)):
+        failure = check(key15)
+        if failure:
+            print(f"{version}: FAIL n = 15, {name}: {failure}")
+            return 1
+        print(f"{version}: ok n = 15, {name}")
     digest = seeded_keys_digest()
     if digest != SEEDED_KEYS_SHA256:
         print(f"{version}: FAIL seeded serialize_key digest {digest}")

@@ -154,12 +154,7 @@ def _write_signature(path: str, sig: "Signature") -> int:
 
 
 def _cmd_keygen(args) -> int:
-    strategy = (
-        paillier.BaseStrategy.RANDOM
-        if args.base == "random"
-        else paillier.BaseStrategy.SAFE_DEFAULT
-    )
-    sk = paillier.keygen(args.bits // 2, strategy, _seed_rng(args))
+    sk = paillier.keygen(args.bits // 2, paillier.BaseStrategy(args.base), _seed_rng(args))
     _write(f"{args.out}.pub", keyfile.serialize_key(sk.public))
     _write(f"{args.out}.key", keyfile.serialize_key(sk), private=True)
     print(f"wrote {args.out}.pub and {args.out}.key")
@@ -327,7 +322,8 @@ _COMMANDS = (
                     "help": "modulus size, rounded down to even; n may have one bit less"
                     " (default 2048)"}),
         ("--out", {"required": True, "metavar": "PREFIX"}),
-        ("--base", {"choices": ["default", "random"], "default": "default"}),
+        ("--base", {"choices": [s.value for s in paillier.BaseStrategy],
+                    "default": paillier.BaseStrategy.SAFE_DEFAULT.value}),
         "--seed",
     ]),
     ("encrypt", "encrypt a message", _cmd_encrypt,

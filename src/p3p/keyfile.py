@@ -107,7 +107,6 @@ def parse_signature(data: bytes) -> "Signature":
 
 
 def serialize_blinding_secret(secret: "BlindingSecret") -> bytes:
-    # only x is stored; the inverse is recomputed against the key at unblind time
     return _envelope(BLINDING_HEADER, encode_uint(secret.x))
 
 
@@ -118,4 +117,4 @@ def parse_blinding_secret(data: bytes, n: int) -> "BlindingSecret":
     (x,) = decode_fields(body, 1)
     if not 1 <= x < n or math.gcd(x, n) != 1:
         raise ParseError("blinding value is not a unit in [1, n)", offset=0)
-    return BlindingSecret(x=x, x_inv=nt.mod_inv(x, n))
+    return BlindingSecret(x=x)

@@ -74,6 +74,8 @@ class SocketChannel:
         self._narrow_timeout()
         try:
             self._sock.sendall(frame)
+        except socket.timeout:
+            raise ProtocolTimeout("peer stopped reading before the timeout") from None
         except OSError as exc:
             raise ProtocolError(f"send failed: {exc}") from exc
 

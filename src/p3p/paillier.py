@@ -38,11 +38,8 @@ from .errors import (
 class BaseStrategy(enum.Enum):
     """How keygen picks the residue base g."""
 
-    SAFE_DEFAULT = "safe-default"  # g = n + 1, always valid, cheapest to use
+    SAFE_DEFAULT = "default"  # g = n + 1, always valid, cheapest to use
     RANDOM = "random"  # drawn from Z*_{n^2} and validated
-
-    def __str__(self):
-        return self.value
 
 
 class SelfBlindMode(enum.Enum):
@@ -53,6 +50,13 @@ class SelfBlindMode(enum.Enum):
 
 
 _RANDOM_BASE_ATTEMPTS = 128
+
+
+def _require_member(value, kind: type[enum.Enum]) -> None:
+    # an enum argument is tested by identity, so anything else would
+    # silently take the other branch
+    if not isinstance(value, kind):
+        raise DomainError(f"expected a {kind.__name__} member")
 
 
 def fingerprint_modulus(n: int) -> bytes:
@@ -203,6 +207,7 @@ def keygen(
     """
     if bits < 4:
         raise DomainError("need at least 4 bits per prime")
+    _require_member(base_strategy, BaseStrategy)
     p = q = 0
     while p == q:
         p = nt.gen_prime(bits, rng)
@@ -300,6 +305,12 @@ def _class(sk: PrivateKey, w: int) -> int:
     return sum(h.class_(w) * h.u2 for h in sk.halves) % sk.public.n
 
 
+def _power_mod_n(sk: PrivateKey, w: int, k: int) -> int:
+    """w^k mod n for a unit w, by CRT: one pow mod each prime r, with the
+    exponent reduced mod r - 1."""
+    return sum(pow(w % h.r, k % (h.r - 1), h.r) * h.u2 for h in sk.halves) % sk.public.n
+
+
 def decrypt(sk: PrivateKey, c: Ciphertext) -> int:
     """Recover m, the class of c relative to the key's base."""
     pk = sk.public
@@ -390,6 +401,7 @@ def rerandomize(
     the ciphertext there.
     """
     _check_key(pk, c)
+    _require_member(mode, SelfBlindMode)
     rng = rng if rng is not None else nt.system_random()
     if mode is SelfBlindMode.UNIT_POWER:
         factor = _nth_power(pk, nt.random_unit(pk.n, rng))

@@ -10,7 +10,7 @@ blindness here covers the residue part only, not the class.
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .errors import DomainError, InternalError, NotSignable
+from .errors import InternalError, NotSignable
 from .paillier import PrivateKey, PublicKey, _is_unit, _nth_power, _raw_encrypt, split_residue
 from .paillier import sha256
 
@@ -25,14 +25,13 @@ class Signature:
 
 @dataclass(frozen=True)
 class BlindingSecret:
-    """Unit x used to blind, with its inverse precomputed for unblinding.
+    """Unit x used to blind; unblinding divides it back out.
 
     Sensitive: keep single-owner and drop the reference as soon as the
     signature is unblinded (Python offers no reliable zeroization).
     """
 
     x: int = field(repr=False)
-    x_inv: int = field(repr=False)
 
 
 def _check_signable(pk: PublicKey, m: int) -> None:
@@ -98,15 +97,14 @@ def blind(
     _check_signable(pk, m)
     x = nt.random_unit(pk.n, rng)
     blinded = m * _nth_power(pk, x) % pk.n_squared
-    return blinded, BlindingSecret(x=x, x_inv=nt.mod_inv(x, pk.n))
+    return blinded, BlindingSecret(x=x)
 
 
 def unblind(sig_blinded: Signature, secret: BlindingSecret, n: int) -> Signature:
     """Turn a signature of the blinded message into one of the original.
 
     Only the public modulus is needed, so the blinding party can unblind
-    without any signer key material.
+    without any signer key material. Raises DomainError for n < 2 and
+    NotInvertible if x is not a unit modulo n.
     """
-    if n < 2:
-        raise DomainError("modulus must be at least 2")
-    return Signature(s1=sig_blinded.s1, s2=sig_blinded.s2 * secret.x_inv % n)
+    return Signature(s1=sig_blinded.s1, s2=sig_blinded.s2 * nt.mod_inv(secret.x, n) % n)

@@ -3,8 +3,9 @@
 The exponentiation variant commutes encryption keys modulo a shared prime.
 The homomorphic variant needs keys on one side only: the initiator sends a
 ciphertext of its message, the responder raises it to a secret exponent
-(scaling the hidden plaintext), the initiator decrypts and returns the
-product, and the responder divides its exponent back out. Both run
+(scaling the hidden plaintext), the initiator checks that the reply is a
+power of its ciphertext, decrypts it and returns the product, and the
+responder divides its exponent back out. Both run
 unauthenticated: an active man-in-the-middle can substitute messages, so
 pair them with an authentication layer before trusting the result.
 
@@ -17,8 +18,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import numtheory as nt
-from .errors import DomainError, MalformedMessage, ProtocolOrderViolation
-from .paillier import PrivateKey, PublicKey, _check_plaintext, _class, _is_unit, encrypt
+from .errors import DomainError, MalformedMessage, NotInvertible, ProtocolOrderViolation
+from .paillier import PrivateKey, PublicKey, _check_plaintext, _class, _is_unit
+from .paillier import _power_mod_n, encrypt
 
 
 class InitiatorState(enum.Enum):
@@ -49,24 +51,46 @@ class PaillierInitiatorSession:
         self.sk = sk
         self.message = message
         self.state = InitiatorState.CREATED
+        self.first_pass = None
 
     def step1_send(self, rng: nt.RandomSource | None = None) -> int:
         """First pass: a fresh ciphertext of the message."""
         _require("initiator", self.state, InitiatorState.CREATED)
         self.state = InitiatorState.SENT_M1
-        return encrypt(self.sk, self.message, rng).value
+        self.first_pass = encrypt(self.sk, self.message, rng).value
+        return self.first_pass
 
     def step3_reveal(self, second_pass: int) -> int:
         """Third pass: decrypt the responder's exponent-scaled ciphertext.
 
         The result is message * m2 mod n, a blinding of the message by the
         responder's secret m2. This step ends the initiator's session.
+
+        Only a power c^k of the first pass c with k < n is revealed, or
+        whoever answers could have any ciphertext under this key decrypted.
+        The class gives k = class / message mod n, and a unit w of that
+        class is c^k * y^n. So w = c^k mod n forces y^n = 1 mod n, then
+        y = 1 mod n as gcd(n, lambda) = 1, and y^n = 1 mod n^2. A message
+        of 0 needs class 0; one that shares a factor with n is not checked,
+        as only the key owner can pick it.
         """
         _require("initiator", self.state, InitiatorState.SENT_M1)
-        if not _is_unit(self.sk.public, second_pass):
+        sk, m = self.sk, self.message
+        n = sk.public.n
+        if not _is_unit(sk.public, second_pass):
             raise MalformedMessage("second pass is not a unit modulo n^2")
+        product = _class(sk, second_pass)
+        if m == 0:
+            honest = product == 0
+        elif math.gcd(m, n) == 1:
+            k = product * nt.mod_inv(m, n) % n
+            honest = second_pass % n == _power_mod_n(sk, self.first_pass, k)
+        else:
+            honest = True
+        if not honest:
+            raise MalformedMessage("second pass is not a power of the first")
         self.state = InitiatorState.DONE
-        return _class(self.sk, second_pass)
+        return product
 
 
 class PaillierResponderSession:
@@ -139,20 +163,26 @@ class ShamirTranscript:
 
 
 def shamir_keygen(prime: int, rng: nt.RandomSource | None = None) -> ShamirParty:
-    """Draw an exponent coprime to prime - 1 and invert it."""
-    _check_prime(prime)
+    """Draw an exponent coprime to prime - 1 and invert it; below 3 there is
+    nothing to draw from, and shamir_party rejects the prime."""
     rng = rng if rng is not None else nt.system_random()
-    while True:
+    e = 1
+    while prime > 2:
         e = rng.randrange(1, prime - 1)
         if math.gcd(e, prime - 1) == 1:
-            return ShamirParty(prime=prime, e=e, d=nt.mod_inv(e, prime - 1))
+            break
+    return shamir_party(prime, e)
 
 
 def shamir_party(prime: int, e: int) -> ShamirParty:
-    """The party with encryption exponent e; the prime is checked before e
-    is inverted modulo prime - 1."""
-    _check_prime(prime)
-    return ShamirParty(prime=prime, e=e, d=nt.mod_inv(e, prime - 1))
+    """The party with encryption exponent e. ShamirParty tests the prime;
+    if e has no inverse modulo prime - 1, a bad prime is named first."""
+    try:
+        d = nt.mod_inv(e, prime - 1)
+    except (DomainError, NotInvertible):
+        _check_prime(prime)
+        raise
+    return ShamirParty(prime=prime, e=e, d=d)
 
 
 def shamir_exchange(a: ShamirParty, b: ShamirParty, message: int) -> ShamirTranscript:

@@ -80,6 +80,15 @@ def test_responder_steps_2_and_4(pows, options, budget):
     assert pows == budget
 
 
+def test_initiator_step_3(pows):
+    # the class, then c^k mod n by CRT for k = class / message mod n
+    initiator = threepass.PaillierInitiatorSession(SK, 7)
+    second_pass = builtins.pow(initiator.step1_send(random.Random(1)), 3, N * N)
+    pows.clear()
+    assert initiator.step3_reveal(second_pass) == 21
+    assert pows == {"mod r^2": 2, "mod r": 2, "inverse": 1}
+
+
 def test_a_key_announce_alone_costs_the_responder_no_pow(pows):
     initiator, responder = net.memory_channel_pair(timeout=5.0)
     initiator.send(wire.encode_msg(wire.key_announce(N, PK.g)))
@@ -175,6 +184,23 @@ POW_LISTS = {
     },
     announce_only: {15: [], 35: []},
 }
+
+
+# The class's exponents r - 1, an inverse of the message, then k mod (r - 1)
+# for k = 2, the responder's exponent.
+REVEAL_POW_LISTS = {
+    15: [("p^2", 2), ("q^2", 3), "inverse", ("p", 0), ("q", 2)],
+    35: [("p^2", 3), ("q^2", 3), "inverse", ("p", 2), ("q", 2)],
+}
+
+
+@pytest.mark.parametrize("sk", [KEY15, KEY35], ids=["n15", "n35"])
+def test_reveal_pow_list_on_toy_keys(pow_calls, sk):
+    initiator = threepass.PaillierInitiatorSession(sk, 2)  # 7 is no unit at n = 35
+    second_pass = builtins.pow(initiator.step1_send(ScriptedRandom([2])), 2, sk.public.n_squared)
+    pow_calls.clear()
+    initiator.step3_reveal(second_pass)
+    assert named(sk, pow_calls) == REVEAL_POW_LISTS[sk.public.n]
 
 
 @pytest.mark.parametrize("sk", [KEY15, KEY35], ids=["n15", "n35"])

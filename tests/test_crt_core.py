@@ -13,6 +13,7 @@ import pytest
 from p3p import paillier, signature, threepass, trapdoor
 from p3p.paillier import BaseStrategy, Ciphertext
 
+from conftest import strategy_id
 from oracles import (
     egcd_inverse,
     textbook_class,
@@ -86,7 +87,7 @@ def test_key_owner_nth_power_exhaustive_small_modulus(sk):
         assert paillier._nth_power(sk.public, x) == pow(x, n, n2)
 
 
-@pytest.mark.parametrize("strategy", list(BaseStrategy), ids=str)
+@pytest.mark.parametrize("strategy", list(BaseStrategy), ids=strategy_id)
 def test_key_owner_encryption_matches_public_on_512_bit_keys(strategy):
     rng = random.Random(f"lift-{strategy}")
     sk = paillier.keygen(256, strategy, rng)
@@ -100,7 +101,7 @@ def test_key_owner_encryption_matches_public_on_512_bit_keys(strategy):
         )
 
 
-@pytest.mark.parametrize("strategy", list(BaseStrategy), ids=str)
+@pytest.mark.parametrize("strategy", list(BaseStrategy), ids=strategy_id)
 def test_crt_core_matches_textbook_on_512_bit_keys(strategy):
     rng = random.Random(f"crt-{strategy}")
     for _ in range(2):

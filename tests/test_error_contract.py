@@ -33,7 +33,7 @@ PK = SK.public
 N = PK.n
 C = paillier.encrypt(PK, 7, random.Random(1))
 SIG = signature.sign_raw(SK, C.value)
-SECRET = BlindingSecret(x=2, x_inv=8)
+SECRET = BlindingSecret(x=2)
 PARTY = threepass.shamir_party(23, 3)
 
 HOSTILE = {
@@ -146,7 +146,7 @@ SWEEP = {
     "unblind": [
         (lambda v: signature.unblind(Signature(v, 2), SECRET, N), HOSTILE),
         (lambda v: signature.unblind(Signature(2, v), SECRET, N), HOSTILE),
-        (lambda v: signature.unblind(SIG, BlindingSecret(v, v), N), HOSTILE),
+        (lambda v: signature.unblind(SIG, BlindingSecret(v), N), HOSTILE),
         (lambda v: signature.unblind(SIG, SECRET, v), HOSTILE),
     ],
     "verify": [

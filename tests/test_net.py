@@ -180,6 +180,63 @@ def test_initiator_rejects_out_of_range_reply_and_reports_it():
     assert seen["reply"].msg_type is MsgType.ERROR
 
 
+@pytest.mark.parametrize("transport", ["memory", "tcp"])
+def test_initiator_will_not_decrypt_a_foreign_ciphertext(transport):
+    # a responder that answers pass 1 with a ciphertext of its own choosing
+    # would otherwise read its plaintext off pass 3
+    sk = paillier.keygen(64, rng=random.Random("foreign"))
+    foreign = paillier.encrypt(sk.public, 424242, random.Random(5)).value
+    replies = []
+
+    def respond(channel):
+        channel.recv()  # key announce
+        channel.recv()  # first pass
+        channel.send(wire.encode_msg(wire.pass_message(MsgType.PASS2, foreign)))
+        replies.append(wire.decode_msg(channel.recv(), sk.public))
+
+    session = PaillierInitiatorSession(sk, 7)
+    expected = pytest.raises(ProtocolError, match="second pass is not a power of the first")
+    if transport == "memory":
+        init_channel, resp_channel = net.memory_channel_pair(timeout=5.0)
+        worker = threading.Thread(target=respond, args=(resp_channel,))
+        worker.start()
+        with expected:
+            net.run_initiator(init_channel, session, rng=random.Random(1))
+    else:
+        server = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            conn, _ = server.accept()
+            channel = net.SocketChannel(conn, timeout=5.0)
+            try:
+                respond(channel)
+            finally:
+                channel.close()
+
+        worker = threading.Thread(target=serve)
+        worker.start()
+        with server, expected:
+            net.send_over_tcp("127.0.0.1", server.getsockname()[1], session,
+                              rng=random.Random(1), timeout=5.0)
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    (reply,) = replies
+    assert reply.msg_type is MsgType.ERROR
+
+
+def test_a_send_the_peer_never_reads_times_out():
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        for sock in (ours, theirs):
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        channel = net.SocketChannel(ours, timeout=0.3)
+        started = time.monotonic()
+        with pytest.raises(ProtocolTimeout, match="stopped reading"):
+            channel.send(bytes(1 << 20))
+        assert time.monotonic() - started < 2.0
+
+
 def test_responder_rejects_garbage_opening_frame():
     init_channel, resp_channel = net.memory_channel_pair(timeout=2.0)
     init_channel.send(b"\x00" * 32)

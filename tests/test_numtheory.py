@@ -147,14 +147,20 @@ def test_keygen_rounds_by_prime_size():
 def test_outside_numbers_keep_the_default_rounds(primality_calls, capsys):
     paillier.from_primes(1019, 1021)
     assert len(primality_calls) == 2
-    # shamir_keygen checks the prime, and so does the ShamirParty it builds
+    # only the ShamirParty that shamir_keygen builds tests the prime
     threepass.shamir_keygen(1019, random.Random(0))
-    assert len(primality_calls) == 4
+    assert len(primality_calls) == 3
     assert cli.main(["shamir-demo", "--prime", "1019", "--message", "3",
                      "--seed", "0"]) == 0
     assert "recovered 3" in capsys.readouterr().out
-    assert len(primality_calls) == 8
+    assert len(primality_calls) == 5
     assert min(r for _, r in primality_calls) >= nt.DEFAULT_MR_ROUNDS
+
+
+def test_each_shamir_party_tests_its_prime_once(primality_calls):
+    threepass.shamir_party(1019, 3)
+    threepass.shamir_keygen(1019, random.Random(0))
+    assert len(primality_calls) == 2
 
 
 @pytest.mark.parametrize("bits", [64, 256, 512])

@@ -403,6 +403,19 @@ def test_rerandomize_base_power_mode():
     assert paillier.decrypt(key, fresh) == 7
 
 
+@pytest.mark.parametrize("mode", ["unit-power", None, 0])
+def test_rerandomize_rejects_a_mode_that_is_not_a_member(mode):
+    c = Ciphertext(83, PK15.fingerprint)
+    with pytest.raises(DomainError, match="SelfBlindMode"):
+        paillier.rerandomize(PK15, c, random.Random(1), mode)
+
+
+@pytest.mark.parametrize("strategy", ["safe-default", "default", None])
+def test_keygen_rejects_a_base_strategy_that_is_not_a_member(strategy):
+    with pytest.raises(DomainError, match="BaseStrategy"):
+        paillier.keygen(32, strategy, random.Random(1))
+
+
 def test_rerandomize_decryption_invariant_both_modes():
     rng = random.Random(23)
     for mode in SelfBlindMode:

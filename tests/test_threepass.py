@@ -21,7 +21,7 @@ from p3p.threepass import (
 )
 
 from conftest import KEY15, ScriptedRandom
-from oracles import units
+from oracles import textbook_class, units
 
 PK15 = KEY15.public
 
@@ -180,6 +180,29 @@ def test_initiator_rejects_non_unit_second_pass(bad):
     session.step1_send(ScriptedRandom([2]))
     with pytest.raises(MalformedMessage):
         session.step3_reveal(bad)
+
+
+def test_initiator_reveals_only_powers_of_its_first_pass():
+    # every message, unit x and unit second pass w at n = 15: w is revealed
+    # iff it is c^k mod n^2 for the first pass c and some k < n. A message of
+    # 0 needs a w of class 0; one sharing a factor with n is not checked.
+    for m in range(15):
+        for x in units(15):
+            c = paillier.encrypt_with_nonce(PK15, m, x).value
+            powers = {pow(c, k, 225) for k in range(15)}
+            for w in units(225):
+                session = PaillierInitiatorSession(KEY15, m)
+                session.step1_send(ScriptedRandom([x]))
+                if m == 0:
+                    honest = textbook_class(3, 5, 16, w) == 0
+                else:
+                    honest = w in powers or math.gcd(m, 15) != 1
+                if honest:
+                    assert session.step3_reveal(w) == textbook_class(3, 5, 16, w)
+                    continue
+                with pytest.raises(MalformedMessage, match="not a power of the first"):
+                    session.step3_reveal(w)
+                assert session.state is InitiatorState.SENT_M1
 
 
 def test_responder_rejects_oversized_third_pass():

@@ -3,8 +3,8 @@
 
     PYTHONPATH=src python scripts/cross_version_check.py
 
-Exhaustively at n = 15 and 35, for the default base and the smallest other
-residue base: every unit w splits as w = g^s1 * s2^n mod n^2, and the key
+Exhaustively at n = 15 and 35, for the base g = n + 1: every unit w splits
+as w = g^s1 * s2^n mod n^2, and the key
 owner's x^n mod n^2 equals pow(x, n, n^2) for every x < n^2. At n = 15 it
 runs the known blind -> sign_raw -> unblind chain, and the initiator's reveal
 rule for every unit message, unit nonce and unit second pass: a second pass
@@ -20,24 +20,11 @@ import random
 import sys
 
 from p3p import keyfile, paillier, signature, threepass
-from p3p.errors import DomainError, MalformedMessage
+from p3p.errors import MalformedMessage
 
-# sha256 over serialize_key of keygen(128, strategy, Random(seed)) for
-# seeds 0-3 and both strategies, as Python 3.11.7 computes it
-SEEDED_KEYS_SHA256 = "0034f170e2f1f9f76fcd34224c94a4c4e9e783d14fcf54fbedc5a1c6ded5c117"
-
-
-def toy_keys(p, q):
-    n = p * q
-    yield paillier.from_primes(p, q)
-    for g in range(2, n * n):
-        if g == n + 1:
-            continue
-        try:
-            yield paillier.from_primes(p, q, g)
-        except DomainError:  # not a unit, or not a residue base
-            continue
-        return
+# sha256 over serialize_key of keygen(128, Random(seed)) for seeds 0-3, as
+# Python 3.11.7 computes it
+SEEDED_KEYS_SHA256 = "a386f2349154f7b325c6abfd1610823af84ec2aa5916344c7e8edbfc0bd5cc21"
 
 
 def check_toy_key(sk):
@@ -98,23 +85,19 @@ def check_reveal_rule(sk):
 
 def seeded_keys_digest():
     digest = hashlib.sha256()
-    for strategy in paillier.BaseStrategy:
-        for seed in range(4):
-            sk = paillier.keygen(128, strategy, random.Random(seed))
-            digest.update(keyfile.serialize_key(sk))
+    for seed in range(4):
+        digest.update(keyfile.serialize_key(paillier.keygen(128, random.Random(seed))))
     return digest.hexdigest()
 
 
 def main():
     version = sys.version.split()[0]
     for p, q in ((3, 5), (5, 7)):
-        for sk in toy_keys(p, q):
-            failure = check_toy_key(sk)
-            label = f"n = {p * q}, g = {sk.public.g}"
-            if failure:
-                print(f"{version}: FAIL {label}: {failure}")
-                return 1
-            print(f"{version}: ok {label}")
+        failure = check_toy_key(paillier.from_primes(p, q))
+        if failure:
+            print(f"{version}: FAIL n = {p * q}: {failure}")
+            return 1
+        print(f"{version}: ok n = {p * q}")
     key15 = paillier.from_primes(3, 5)
     for name, check in (("blind chain", check_blind_chain), ("reveal rule", check_reveal_rule)):
         failure = check(key15)

@@ -21,7 +21,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("P3PError",),
     "paillier": (
-        "BaseStrategy",
         "Ciphertext",
         "PrivateKey",
         "PublicKey",

@@ -154,7 +154,7 @@ def _write_signature(path: str, sig: "Signature") -> int:
 
 
 def _cmd_keygen(args) -> int:
-    sk = paillier.keygen(args.bits // 2, paillier.BaseStrategy(args.base), _seed_rng(args))
+    sk = paillier.keygen(args.bits // 2, _seed_rng(args))
     _write(f"{args.out}.pub", keyfile.serialize_key(sk.public))
     _write(f"{args.out}.key", keyfile.serialize_key(sk), private=True)
     print(f"wrote {args.out}.pub and {args.out}.key")
@@ -322,8 +322,6 @@ _COMMANDS = (
                     "help": "modulus size, rounded down to even; n may have one bit less"
                     " (default 2048)"}),
         ("--out", {"required": True, "metavar": "PREFIX"}),
-        ("--base", {"choices": [s.value for s in paillier.BaseStrategy],
-                    "default": paillier.BaseStrategy.SAFE_DEFAULT.value}),
         "--seed",
     ]),
     ("encrypt", "encrypt a message", _cmd_encrypt,

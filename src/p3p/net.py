@@ -199,7 +199,7 @@ def _announced_key(channel, frames: list) -> PublicKey:
     try:
         return PublicKey(n=n, g=g)
     except DomainError as exc:
-        raise MalformedMessage("announced key is unusable") from exc
+        raise MalformedMessage(f"announced key is unusable: {exc}") from exc
 
 
 def run_initiator(

@@ -27,7 +27,6 @@ except ImportError:
 from . import numtheory as nt
 from .errors import (
     DomainError,
-    InternalError,
     KeyMismatch,
     MalformedCiphertext,
     NotInvertible,
@@ -35,26 +34,14 @@ from .errors import (
 )
 
 
-class BaseStrategy(enum.Enum):
-    """How keygen picks the residue base g."""
-
-    SAFE_DEFAULT = "default"  # g = n + 1, always valid, cheapest to use
-    RANDOM = "random"  # drawn from Z*_{n^2} and validated
-
-
 class SelfBlindMode(enum.Enum):
     """Which blinding factor rerandomize multiplies in."""
 
     UNIT_POWER = "unit-power"  # x^n for a fresh unit x
-    BASE_POWER = "base-power"  # g^(n*r) for a fresh r
-
-
-_RANDOM_BASE_ATTEMPTS = 128
 
 
 def _require_member(value, kind: type[enum.Enum]) -> None:
-    # an enum argument is tested by identity, so anything else would
-    # silently take the other branch
+    # an enum argument must be a member, not its value or a look-alike
     if not isinstance(value, kind):
         raise DomainError(f"expected a {kind.__name__} member")
 
@@ -68,8 +55,10 @@ def fingerprint_modulus(n: int) -> bytes:
 class PublicKey:
     """Everything a sender or verifier needs: the modulus and residue base.
 
-    Construction is the one check of a public key: it raises DomainError
-    unless n >= 2 and g is a unit modulo n^2.
+    The base is g = n + 1: the class problem is random-self-reducible over
+    g (Paillier, EUROCRYPT '99, section 3), so no other base is harder.
+    Key files and key announces carry g. Construction is the one check of
+    a public key: it raises DomainError unless n >= 2 and g = n + 1.
     """
 
     n: int
@@ -80,9 +69,9 @@ class PublicKey:
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("modulus is too small: n must be at least 2")
+        if self.g != self.n + 1:
+            raise DomainError("base must be n + 1")
         object.__setattr__(self, "n_squared", self.n * self.n)
-        if not _is_unit(self, self.g):
-            raise DomainError("base is not a unit modulo n^2")
         object.__setattr__(self, "fingerprint", fingerprint_modulus(self.n))
 
     def __repr__(self):
@@ -129,11 +118,11 @@ class _Half:
 
 @dataclass(frozen=True)
 class PrivateKey:
-    """The primes p, q and residue base g; all other fields derive from them.
+    """The primes p, q and base g = n + 1; all other fields derive from them.
 
     Construction is the one derivation and check of a private key. It raises
-    DomainError if p = q, gcd(n, lambda) != 1, g is no residue base, or
-    PublicKey(p*q, g) does; p and q are trusted to be prime.
+    DomainError if p = q, gcd(n, lambda) != 1, or PublicKey(p*q, g) does
+    (so unless g = n + 1); p and q are trusted to be prime.
     """
 
     p: int = field(repr=False)
@@ -159,15 +148,13 @@ class PrivateKey:
         u2_p = u_p * u_p * (3 - 2 * u_p) % n_squared
         # L(g^lam mod n^2) = l * k / other (mod r) for l = L_r(g^(r-1) mod r^2)
         # and k = lam/(r-1), a unit as gcd(n, lam) = 1. One inverse of l*k
-        # gives both h = l^-1 and mu modulo r.
+        # gives both h = l^-1 and mu modulo r. For g = n + 1, l = -other mod
+        # r, a unit, so the inverse always exists.
         halves, mu = [], 0
         for r, other, u2 in ((p, q, u2_p), (q, p, (1 - u2_p) % n_squared)):
             l_value = nt.l_function(pow(g, r - 1, r * r), r)
             k = lam // (r - 1)
-            try:
-                inverse = nt.mod_inv(l_value * k, r)
-            except NotInvertible:
-                raise DomainError("g is not a residue base for n") from None
+            inverse = nt.mod_inv(l_value * k, r)
             halves.append(
                 _Half(r, r * r, inverse * k % r, nt.mod_inv(n, r - 1), n % (r - 1), u2)
             )
@@ -193,11 +180,7 @@ def _is_unit(pk: PublicKey, w: int) -> bool:
     return 0 < w < pk.n_squared and math.gcd(w, pk.n) == 1
 
 
-def keygen(
-    bits: int,
-    base_strategy: BaseStrategy = BaseStrategy.SAFE_DEFAULT,
-    rng: nt.RandomSource | None = None,
-) -> PrivateKey:
+def keygen(bits: int, rng: nt.RandomSource | None = None) -> PrivateKey:
     """Generate a fresh key with two distinct ``bits``-bit primes.
 
     Redraws both primes only if they are equal. Primes of the same bit
@@ -207,31 +190,22 @@ def keygen(
     """
     if bits < 4:
         raise DomainError("need at least 4 bits per prime")
-    _require_member(base_strategy, BaseStrategy)
     p = q = 0
     while p == q:
         p = nt.gen_prime(bits, rng)
         q = nt.gen_prime(bits, rng)
-    n = p * q
-    if base_strategy is BaseStrategy.SAFE_DEFAULT:
-        return PrivateKey(p, q, n + 1)
-    for _ in range(_RANDOM_BASE_ATTEMPTS):
-        try:
-            return PrivateKey(p, q, nt.random_unit(n * n, rng))
-        except DomainError:
-            continue
-    raise InternalError(f"no residue base found in {_RANDOM_BASE_ATTEMPTS} draws")
+    return PrivateKey(p, q, p * q + 1)
 
 
-def from_primes(p: int, q: int, g: int | None = None) -> PrivateKey:
+def from_primes(p: int, q: int) -> PrivateKey:
     """Key from explicit primes; meant for toy moduli in tests and demos.
 
-    ``g`` defaults to n + 1. Raises DomainError unless p and q pass
-    ``numtheory.require_prime`` and PrivateKey accepts them (p=3, q=7 it does not).
+    Raises DomainError unless p and q pass ``numtheory.require_prime`` and
+    PrivateKey accepts them (p=3, q=7 it does not).
     """
     nt.require_prime(p, "p")
     nt.require_prime(q, "q")
-    return PrivateKey(p, q, p * q + 1 if g is None else g)
+    return PrivateKey(p, q, p * q + 1)
 
 
 def _check_plaintext(pk: PublicKey, m: int) -> None:
@@ -246,10 +220,8 @@ def _check_key(pk: PublicKey, *ciphertexts: Ciphertext) -> None:
 
 
 def _pow_g(pk: PublicKey, exp: int) -> int:
-    # (1 + n)^e = 1 + e*n mod n^2, so the default base never needs pow().
-    if pk.g == pk.n + 1:
-        return (1 + exp % pk.n * pk.n) % pk.n_squared
-    return pow(pk.g, exp, pk.n_squared)
+    # (1 + n)^e = 1 + e*n mod n^2, so the base never needs pow().
+    return (1 + exp % pk.n * pk.n) % pk.n_squared
 
 
 def _public(key: PublicKey | PrivateKey) -> PublicKey:
@@ -356,13 +328,10 @@ def split_residue(sk: PrivateKey, w: int) -> tuple[int, int]:
     """The pair (s1, s2) with w = g^s1 * s2^n mod n^2 for a unit w.
 
     s1 is the class of w relative to the key's base and s2 < n the
-    principal n-th root of its residue part w * g^-s1, which the root
-    needs only modulo p and q.
+    principal n-th root of its residue part w * g^-s1. The root needs that
+    part only modulo p and q, where g = n + 1 is 1, so it is w itself.
     """
-    pk = sk.public
-    s1 = extract_class(sk, w, pk.g)
-    if pk.g != pk.n + 1:  # the default base is 1 mod n, so it divides out for free
-        w *= sum(pow(pk.g, -s1 % (h.r - 1), h.r) * h.u2 for h in sk.halves)
+    s1 = extract_class(sk, w, sk.public.g)
     return s1, principal_root(sk, w)
 
 
@@ -395,17 +364,9 @@ def rerandomize(
 ) -> Ciphertext:
     """Fresh-looking ciphertext of the same plaintext (self-blinding).
 
-    UNIT_POWER multiplies by x^n for a fresh unit x; BASE_POWER multiplies
-    by g^(n*r) for a fresh r. Note that with the default base g = n + 1
-    the BASE_POWER factor is always 1, so only UNIT_POWER actually changes
-    the ciphertext there.
+    UNIT_POWER multiplies by x^n for a fresh unit x.
     """
     _check_key(pk, c)
     _require_member(mode, SelfBlindMode)
-    rng = rng if rng is not None else nt.system_random()
-    if mode is SelfBlindMode.UNIT_POWER:
-        factor = _nth_power(pk, nt.random_unit(pk.n, rng))
-    else:
-        r = rng.randrange(1, pk.n)
-        factor = _pow_g(pk, pk.n * r)
+    factor = _nth_power(pk, nt.random_unit(pk.n, rng))
     return Ciphertext(c.value * factor % pk.n_squared, pk.fingerprint)

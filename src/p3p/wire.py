@@ -3,9 +3,10 @@
 Frame layout: magic "P3PP", version byte, message-type byte, 4-byte
 big-endian payload length, payload. Passes 1-3 carry one canonical
 big-endian integer; the key announcement carries the modulus and residue
-base as two length-prefixed integers (the responder starts with no key
-material, so the initiator must ship n and g in-band -- unauthenticated,
-like everything else in the protocol). Error frames carry UTF-8 text.
+base as two length-prefixed integers, and the base must be g = n + 1 (the
+responder starts with no key material, so the initiator must ship n and g
+in-band -- unauthenticated, like everything else in the protocol). Error
+frames carry UTF-8 text.
 
 Decoding is strict: wrong magic, unknown version or type, inconsistent
 lengths, and non-canonical integers all raise ParseError with the byte

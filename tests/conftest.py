@@ -28,12 +28,6 @@ class ScriptedRandom:
         return value
 
 
-def strategy_id(strategy):
-    """Test id of a BaseStrategy member: its name in lower case with "-" for
-    "_", so ids do not follow the members' values."""
-    return strategy.name.lower().replace("_", "-")
-
-
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 

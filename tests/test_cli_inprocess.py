@@ -7,7 +7,7 @@ import stat
 
 import pytest
 
-from p3p import cli, keyfile
+from p3p import cli
 
 
 @pytest.fixture(scope="module")
@@ -73,25 +73,6 @@ def test_sign_to_missing_directory_is_an_error(keypair, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: cannot write {out}: ")
-
-
-@pytest.mark.parametrize("base", ["default", "random"])
-def test_keygen_base_picks_the_residue_base(keypair, tmp_path, base):
-    prefix = tmp_path / "k"
-    args = ["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix), "--base", base]
-    assert cli.main(args) == 0
-    pub = (tmp_path / "k.pub").read_bytes()
-    pk = keyfile.parse_key(pub)
-    assert (pk.g == pk.n + 1) is (base == "default")
-    # --base default is what keygen does without the option
-    assert (pub == keypair.with_suffix(".pub").read_bytes()) is (base == "default")
-
-
-def test_keygen_rejects_a_base_that_is_not_a_strategy(tmp_path, capsys):
-    code = cli.main(["keygen", "--bits", "64", "--out", str(tmp_path / "k"),
-                     "--base", "safe-default"])
-    assert code == 1
-    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_keygen_to_missing_directory_is_an_error(tmp_path, capsys):

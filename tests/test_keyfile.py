@@ -8,7 +8,7 @@ from p3p.encoding import encode_uint
 from p3p.errors import ParseError
 from p3p.signature import BlindingSecret, Signature
 
-from conftest import KEY15, strategy_id
+from conftest import KEY15
 
 PK15 = KEY15.public
 
@@ -139,28 +139,36 @@ def test_composite_factor_rejected_as_not_prime():
             keyfile.parse_key(_private_body(n, g, p, q, lam, mu))
 
 
-# serialize_key output of seeded keys, pinned so the format stays bit-exact
-SEEDED_PRIVATE = {
-    paillier.BaseStrategy.SAFE_DEFAULT: (
-        b"paillier-private-v1\n"
-        b"AAAAEHsNZMYs9i7XHhXxVfybNkUAAAAQew1kxiz2LtceFfFV/Js2RgAAAAiiV5if\n"
-        b"74KciQAAAAjCCw6+N4x03QAAABAew1kxiz2LtW5s0n31Ywk4AAAAED9P8O1xwhVe\n"
-        b"IDr6sR5BOPc=\n"
-    ),
-    paillier.BaseStrategy.RANDOM: (
-        b"paillier-private-v1\n"
-        b"AAAAEHsNZMYs9i7XHhXxVfybNkUAAAAgGvQY4k0QDY/a8BBboGwFocdqv0NvqE3K\n"
-        b"rArk4vcptMkAAAAIoleYn++CnIkAAAAIwgsOvjeMdN0AAAAQHsNZMYs9i7VubNJ9\n"
-        b"9WMJOAAAABAQ61cickxW9RsL3cKcsRQI\n"
-    ),
-}
+# serialize_key output of a seeded key, pinned so the format stays bit-exact
+SEEDED_PRIVATE = (
+    b"paillier-private-v1\n"
+    b"AAAAEHsNZMYs9i7XHhXxVfybNkUAAAAQew1kxiz2LtceFfFV/Js2RgAAAAiiV5if\n"
+    b"74KciQAAAAjCCw6+N4x03QAAABAew1kxiz2LtW5s0n31Ywk4AAAAED9P8O1xwhVe\n"
+    b"IDr6sR5BOPc=\n"
+)
 
 
-@pytest.mark.parametrize("strategy", list(paillier.BaseStrategy), ids=strategy_id)
-def test_seeded_private_key_serialization_pinned(strategy):
-    sk = paillier.keygen(64, strategy, random.Random(3))
-    assert keyfile.serialize_key(sk) == SEEDED_PRIVATE[strategy]
-    assert keyfile.parse_key(SEEDED_PRIVATE[strategy]) == sk
+def test_seeded_private_key_serialization_pinned():
+    sk = paillier.keygen(64, random.Random(3))
+    assert keyfile.serialize_key(sk) == SEEDED_PRIVATE
+    assert keyfile.parse_key(SEEDED_PRIVATE) == sk
+
+
+# a private key file that keygen wrote when it could draw a random base
+# (g = 0x1af418..., same seed and primes as SEEDED_PRIVATE)
+RANDOM_BASE_PRIVATE = (
+    b"paillier-private-v1\n"
+    b"AAAAEHsNZMYs9i7XHhXxVfybNkUAAAAgGvQY4k0QDY/a8BBboGwFocdqv0NvqE3K\n"
+    b"rArk4vcptMkAAAAIoleYn++CnIkAAAAIwgsOvjeMdN0AAAAQHsNZMYs9i7VubNJ9\n"
+    b"9WMJOAAAABAQ61cickxW9RsL3cKcsRQI\n"
+)
+
+
+def test_a_key_with_a_base_other_than_n_plus_1_is_refused():
+    public = b"paillier-public-v1\n" + base64.b64encode(encode_uint(15) + encode_uint(2))
+    for data in (RANDOM_BASE_PRIVATE, public):
+        with pytest.raises(ParseError, match="n \\+ 1"):
+            keyfile.parse_key(data)
 
 
 def test_signature_envelope_roundtrip():

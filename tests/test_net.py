@@ -245,12 +245,16 @@ def test_responder_rejects_garbage_opening_frame():
 
 
 def test_responder_rejects_unusable_announced_key():
-    # g not a unit, and g a unit modulo n^2 but not below it
-    for n, g in ((15, 15), (15, 226)):
+    # g not a unit, g a unit modulo n^2 but not below it, and a residue base
+    # other than n + 1
+    for n, g in ((15, 15), (15, 226), (15, 2)):
         init_channel, resp_channel = net.memory_channel_pair(timeout=2.0)
         init_channel.send(wire.encode_msg(wire.key_announce(n, g)))
         with pytest.raises(ProtocolError, match="unusable"):
             net.run_responder(resp_channel)
+        reply = wire.decode_msg(init_channel.recv())
+        assert reply.msg_type is MsgType.ERROR
+        assert reply.error_text == "announced key is unusable: base must be n + 1"
 
 
 def test_parallel_sessions_are_independent():

@@ -345,7 +345,7 @@ _COMMANDS = (
         ("--host", {"default": "127.0.0.1"}),
         ("--count", {"type": _bounded(int, lambda c: c >= 1, "at least 1"), "default": 1,
                      "help": "sessions to serve"}),
-        ("--parallel", {"action": "store_true"}),
+        ("--parallel", {"action": "store_true", "help": "run up to 16 sessions at once"}),
         "--timeout", "--text", "--seed",
     ]),
     ("3pass-send", "send a message to a listening responder", _cmd_send, [

@@ -14,7 +14,8 @@ timeout. Over TCP that timeout is a deadline for the whole conversation,
 so a peer that sends slowly cannot hold a session open either. The
 runners never close their channel: the caller that opened it closes it, on
 every path. The TCP entry points check port and timeout before any socket
-call, and raise DomainError for one out of range.
+call, and raise DomainError for one out of range. The listener runs each
+session on a worker thread, at most MAX_PARALLEL_SESSIONS at once.
 """
 
 import math
@@ -50,6 +51,7 @@ from .wire import (
 )
 
 DEFAULT_TIMEOUT = 30.0
+MAX_PARALLEL_SESSIONS = 16  # sessions serve_three_pass runs at once with parallel
 
 
 class SocketChannel:
@@ -240,11 +242,7 @@ def run_responder(
     except MalformedMessage as exc:
         raise _abort(channel, str(exc)) from exc
     return ResponderOutcome(
-        recovered=recovered,
-        pass1=pass1,
-        pass2=pass2,
-        pass3=pass3,
-        frames=tuple(frames),
+        recovered=recovered, pass1=pass1, pass2=pass2, pass3=pass3, frames=tuple(frames)
     )
 
 
@@ -289,26 +287,29 @@ def serve_three_pass(
 ) -> list[ResponderOutcome]:
     """Accept ``sessions`` connections and run the responder on each.
 
-    Sequential by default; with ``parallel`` each connection gets its own
-    thread (sessions stay fully independent -- no state is shared). With a
-    ``seed``, session i (counted from 0 in accept order) draws from
-    ``random.Random(seed + i)``, so seeded runs are deterministic per
-    session; without one, sessions draw from OS entropy. ``on_outcome``
-    runs once per completed session, never for two sessions at once; the
-    outcomes are returned only when it is not given. A failed session,
-    including one whose ``on_outcome`` raised, does not stop the others:
-    after all ``sessions`` have run, the first failure is raised. Nothing
-    of a session is kept once it has ended and been reported, so memory
-    does not grow with the sessions served. ``timeout`` bounds each session
-    from its accept; waiting for a connection is not bounded. A ``host``
-    with a colon is an IPv6 literal. An address that cannot be listened on
-    raises ProtocolError.
+    Each session runs on a worker thread and shares no state with the
+    others; ``parallel`` lets MAX_PARALLEL_SESSIONS run at once, not one.
+    Further clients wait in the listen queue, and their ``timeout`` (which
+    bounds a session) starts at accept. With a ``seed``, session i (counted
+    from 0 in accept order) draws from ``random.Random(seed + i)``; without
+    one, from OS entropy. ``on_outcome`` runs once per completed session,
+    never for two sessions at once; the outcomes are returned only when it
+    is not given. A failed session, including one whose ``on_outcome``
+    raised, does not stop the others: after all ``sessions`` have run, the
+    first failure is raised. A failed accept or an interrupt is raised once
+    the accepted sessions have ended. Nothing of a session is kept once it
+    has ended and been reported, so memory does not grow with the sessions
+    served. Waiting for a connection is not bounded. A ``host`` with a
+    colon is an IPv6 literal. An address that cannot be listened on raises
+    ProtocolError.
     """
     _check_endpoint(port, 0, timeout)
     outcomes: list[ResponderOutcome] = []
     report = on_outcome or outcomes.append
     failures: list[Exception] = []  # the first failure only
     lock = threading.Lock()
+    capacity = MAX_PARALLEL_SESSIONS if parallel else 1
+    slots = threading.BoundedSemaphore(capacity)
 
     def handle(conn: socket.socket, index: int) -> None:
         channel = SocketChannel(conn, timeout=timeout)
@@ -323,6 +324,7 @@ def serve_three_pass(
                     failures.append(exc)
         finally:
             channel.close()
+            slots.release()
 
     try:
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
@@ -332,22 +334,23 @@ def serve_three_pass(
     with server:
         if on_listening:
             on_listening(server.getsockname()[1])
-        workers = []
         try:
             for index in range(sessions):
-                conn, _ = server.accept()
-                if parallel:
-                    workers = [w for w in workers if w.is_alive()]
-                    worker = threading.Thread(
+                slots.acquire()
+                conn = None
+                try:
+                    conn, _ = server.accept()
+                    threading.Thread(
                         target=handle, args=(conn, index), daemon=True
-                    )
-                    worker.start()
-                    workers.append(worker)
-                else:
-                    handle(conn, index)
+                    ).start()
+                except BaseException:  # no worker will give this slot back
+                    if conn is not None:
+                        conn.close()
+                    slots.release()
+                    raise
         finally:
-            for worker in workers:
-                worker.join()
+            for _ in range(capacity):  # every slot back: every session has ended
+                slots.acquire()
     if failures:
         raise failures[0]
     return outcomes

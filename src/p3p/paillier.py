@@ -40,12 +40,6 @@ class SelfBlindMode(enum.Enum):
     UNIT_POWER = "unit-power"  # x^n for a fresh unit x
 
 
-def _require_member(value, kind: type[enum.Enum]) -> None:
-    # an enum argument must be a member, not its value or a look-alike
-    if not isinstance(value, kind):
-        raise DomainError(f"expected a {kind.__name__} member")
-
-
 def fingerprint_modulus(n: int) -> bytes:
     """Digest identifying a modulus, carried by ciphertexts for key checks."""
     return sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
@@ -367,6 +361,7 @@ def rerandomize(
     UNIT_POWER multiplies by x^n for a fresh unit x.
     """
     _check_key(pk, c)
-    _require_member(mode, SelfBlindMode)
+    if not isinstance(mode, SelfBlindMode):  # a member, not its value or a look-alike
+        raise DomainError("expected a SelfBlindMode member")
     factor = _nth_power(pk, nt.random_unit(pk.n, rng))
     return Ciphertext(c.value * factor % pk.n_squared, pk.fingerprint)

@@ -43,6 +43,22 @@ def test_no_p3p_module_defines_pow():
     assert [m.__name__ for m in tracing._p3p_modules() if "pow" in vars(m)] == []
 
 
+def test_the_benchmarks_command_lines_parse():
+    # the argv shapes perfbench/workloads.py builds: a flag dropped here
+    # would fail every run of its workload
+    parser = cli.build_parser()
+    listen = parser.parse_args(["3pass-listen", "--port", "0", "--count", "1000000000",
+                                "--parallel", "--seed", "7"])
+    assert (listen.port, listen.count, listen.parallel, listen.seed) == (0, 10**9, True, 7)
+    for argv in (
+        ["encrypt", "--key", "k.pub", "--message", "2a", "--seed", "7"],
+        ["decrypt", "--key", "k.key", "--ciphertext", "2a"],
+        ["sign", "--key", "k.key", "--message", "ballot 1", "--text", "--out", "m.sig"],
+        ["verify", "--key", "k.pub", "--message", "ballot 1", "--text", "--sig", "m.sig"],
+    ):
+        assert parser.parse_args(argv).command == argv[0]
+
+
 class CountingRandom(random.Random):
     draws = 0
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from p3p import keyfile, net, wire
+from p3p import cli, keyfile, net, wire
 from p3p.encoding import encode_uint
 from p3p.threepass import PaillierInitiatorSession
 
@@ -271,6 +271,12 @@ def test_listener_answers_a_huge_pass_with_one_error_line():
         if listener.poll() is None:
             listener.kill()
             listener.communicate()
+
+
+def test_parallel_help_names_the_session_cap(capsys):
+    assert cli.main(["3pass-listen", "--help"]) == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert f"up to {net.MAX_PARALLEL_SESSIONS} sessions at once" in help_text
 
 
 def test_parallel_listener_prints_whole_lines(keypair):

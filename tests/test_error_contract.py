@@ -83,10 +83,14 @@ SWEEP = {
         (lambda v: paillier.PrivateKey(v, 5, 16), SMALL),
         (lambda v: paillier.PrivateKey(3, v, 16), SMALL),
         (lambda v: paillier.PrivateKey(3, 5, v), HOSTILE),
+        # g = n + 1, so a hostile p or q reaches key derivation
+        (lambda v: paillier.PrivateKey(v, 5, 5 * v + 1), SMALL),
+        (lambda v: paillier.PrivateKey(3, v, 3 * v + 1), SMALL),
     ],
     "PublicKey": [
         (lambda v: paillier.PublicKey(v, 16), HOSTILE),
         (lambda v: paillier.PublicKey(N, v), HOSTILE),
+        (lambda v: paillier.PublicKey(v, v + 1), HOSTILE),  # squaring, fingerprint
     ],
     "ShamirParty": [
         (lambda v: threepass.ShamirParty(v, 3, 15), HOSTILE),

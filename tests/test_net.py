@@ -3,8 +3,10 @@ import hashlib
 import math
 import random
 import socket
+import sys
 import threading
 import time
+import types
 import weakref
 
 import pytest
@@ -434,8 +436,7 @@ def test_listener_keeps_nothing_of_finished_sessions(parallel):
             seen["outcomes"] = sum(ref() is not None for ref in outcomes)
             seen["workers"] = sum(ref() is not None for ref in workers)
         outcomes.append(weakref.ref(outcome))
-        if parallel:
-            workers.append(weakref.ref(threading.current_thread()))
+        workers.append(weakref.ref(threading.current_thread()))
         reported.set()
 
     worker, port = start_listener(
@@ -448,16 +449,147 @@ def test_listener_keeps_nothing_of_finished_sessions(parallel):
         session = PaillierInitiatorSession(KEY15, message)
         net.send_over_tcp("127.0.0.1", port, session, timeout=10.0)
         assert reported.wait(5.0)
-        if parallel:  # let its thread end before the next accept; keep no reference
-            finished = workers[-1]()
-            if finished is not None:
-                finished.join(5.0)
-            del finished
+        # let its thread end before the next accept; keep no reference
+        finished = workers[-1]()
+        if finished is not None:
+            finished.join(5.0)
+        del finished
     worker.join(timeout=10.0)
     assert not worker.is_alive()
     assert seen == {"failures": 1, "outcomes": 0, "workers": 0}
     assert "outcomes" not in result
     assert "bad key announce" in str(result["error"])
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+def test_a_full_listener_leaves_the_next_client_queued_until_a_slot_frees(
+    monkeypatch, parallel
+):
+    monkeypatch.setattr(net, "MAX_PARALLEL_SESSIONS", 2)
+    slots = 2 if parallel else 1
+    result = {}
+    worker, port = start_listener(result, sessions=slots + 1, parallel=parallel)
+    idle = [socket.create_connection(("127.0.0.1", port), timeout=5.0)
+            for _ in range(slots)]
+    try:
+        with socket.create_connection(("127.0.0.1", port), timeout=0.5) as queued:
+            queued.sendall(b"\x00" * 32)
+            with pytest.raises(socket.timeout):
+                queued.recv(1024)  # not accepted: every slot holds an idle session
+            idle.pop().close()
+            queued.settimeout(5.0)
+            reply = wire.decode_msg(read_to_end(queued))
+        assert reply.msg_type is MsgType.ERROR
+    finally:
+        for conn in idle:
+            conn.close()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    assert isinstance(result["error"], ProtocolError)
+
+
+def test_concurrent_sessions_never_outnumber_the_slots(monkeypatch):
+    monkeypatch.setattr(net, "MAX_PARALLEL_SESSIONS", 2)
+    running, peak = [0], [0]
+    guard = threading.Lock()
+    run_responder = net.run_responder
+
+    def counted(channel, rng=None):
+        with guard:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            return run_responder(channel, rng)
+        finally:
+            with guard:
+                running[0] -= 1
+
+    monkeypatch.setattr(net, "run_responder", counted)
+    messages = range(1, 7)  # more clients than slots, and than cores
+    result = {}
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        worker, port = start_listener(result, sessions=len(messages), parallel=True)
+
+        def send(message):
+            session = PaillierInitiatorSession(KEY15, message)
+            net.send_over_tcp("127.0.0.1", port, session, timeout=10.0)
+
+        senders = [threading.Thread(target=send, args=(m,)) for m in messages]
+        for sender in senders:
+            sender.start()
+        for sender in senders:
+            sender.join(timeout=10.0)
+        worker.join(timeout=10.0)
+    finally:
+        sys.setswitchinterval(switch_interval)
+    assert not worker.is_alive()
+    assert not any(sender.is_alive() for sender in senders)
+    assert sorted(o.recovered for o in result["outcomes"]) == list(messages)
+    assert 1 <= peak[0] <= 2
+
+
+class FailingServer:
+    """A listening socket whose accept fails, or hands over ``conn``."""
+
+    def __init__(self, conn=None):
+        self.conn = conn
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def getsockname(self):
+        return ("127.0.0.1", 1)
+
+    def accept(self):
+        if self.conn is None:
+            raise OSError("accept failed")
+        return self.conn, ("127.0.0.1", 2)
+
+
+class UnstartableThread(threading.Thread):
+    def start(self):
+        raise RuntimeError("can't start new thread")
+
+
+@pytest.mark.parametrize("parallel", [False, True])
+@pytest.mark.parametrize("failing", ["accept", "thread-start"])
+def test_a_listener_that_cannot_start_a_session_raises_and_frees_its_slot(
+    monkeypatch, parallel, failing
+):
+    conn, peer = socket.socketpair() if failing == "thread-start" else (None, None)
+    monkeypatch.setattr(socket, "create_server", lambda *a, **k: FailingServer(conn))
+    if conn is not None:
+        monkeypatch.setattr(net, "threading", types.SimpleNamespace(
+            Thread=UnstartableThread, Lock=threading.Lock,
+            BoundedSemaphore=threading.BoundedSemaphore,
+        ))
+    result = {}
+
+    def server():
+        try:
+            net.serve_three_pass(port=0, sessions=3, parallel=parallel)
+        except Exception as exc:
+            result["error"] = exc
+
+    worker = threading.Thread(target=server, daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    try:
+        assert not worker.is_alive()  # no slot left taken for the final wait
+        if conn is None:
+            assert type(result["error"]) is OSError
+        else:
+            assert type(result["error"]) is RuntimeError
+            assert conn.fileno() == -1  # the accepted socket was closed
+    finally:
+        if conn is not None:
+            conn.close()
+            peer.close()
 
 
 # sha256 of the frames of one seeded session, whose pass 2 is pass 1 raised

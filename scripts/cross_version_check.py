@@ -8,18 +8,22 @@ as w = g^s1 * s2^n mod n^2, and the key
 owner's x^n mod n^2 equals pow(x, n, n^2) for every x < n^2. At n = 15 it
 runs the known blind -> sign_raw -> unblind chain, and the initiator's reveal
 rule for every unit message, unit nonce and unit second pass: a second pass
-is revealed iff it is c^k mod n^2 for the first pass c and some k < n. Then
-it hashes serialize_key of seeded 256-bit keys and compares the digest with
-the one Python 3.11 gives. Prints one line per check; exits 1 on the first
-failure.
+is revealed iff it is c^k mod n^2 for the first pass c and some k < n. It
+checks that importing the CLI, net, signature and trapdoor modules leaves
+``dataclasses`` unloaded, and the repr, equality, hash and pickle round trip
+of one instance of each value type. Then it hashes serialize_key of seeded
+256-bit keys and compares the digest with the one Python 3.11 gives. Prints
+one line per check; exits 1 on the first failure.
 """
 
 import hashlib
 import math
+import pickle
 import random
+import subprocess
 import sys
 
-from p3p import keyfile, paillier, signature, threepass
+from p3p import keyfile, net, paillier, signature, threepass, trapdoor, wire
 from p3p.errors import MalformedMessage
 
 # sha256 over serialize_key of keygen(128, Random(seed)) for seeds 0-3, as
@@ -83,6 +87,52 @@ def check_reveal_rule(sk):
     return None
 
 
+def check_no_dataclasses():
+    code = ("import sys, p3p.cli, p3p.net, p3p.signature, p3p.trapdoor; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    if done.returncode != 0 or done.stdout.strip() != "[]":
+        return f"importing p3p loaded {done.stdout.strip() or done.stderr.strip()}"
+    return None
+
+
+def check_value_types(sk):
+    """One instance of each value type against its pinned repr, a twin built
+    from the same fields, and its pickle round trip."""
+    pk = sk.public
+    party_a, party_b = threepass.ShamirParty(23, 5, 9), threepass.ShamirParty(23, 7, 19)
+    cases = [
+        (pk, paillier.PublicKey(n=15, g=16), "<PublicKey 4-bit dc0e9c3658a1>"),
+        (sk.halves[0], paillier._Half(3, 9, 1, 1, 1, 100), None),
+        (sk, paillier.PrivateKey(p=3, q=5, g=16),
+         "<PrivateKey for <PublicKey 4-bit dc0e9c3658a1>>"),
+        (paillier.encrypt_with_nonce(pk, 7, 2), paillier.Ciphertext(83, pk.fingerprint),
+         "Ciphertext(value=83)"),
+        (signature.Signature(7, 2), signature.Signature(s1=7, s2=2), "Signature(s1=7, s2=2)"),
+        (signature.BlindingSecret(2), signature.BlindingSecret(x=2), "BlindingSecret()"),
+        (trapdoor.decompose(107, 15), trapdoor.WideMessage(107, 2, 7, None),
+         "WideMessage(value=107, low=2, high=7, inadmissible_reason=None)"),
+        (wire.pass_message(wire.MsgType.PASS1, 42), wire.WireMessage(wire.MsgType.PASS1, b"*"),
+         "WireMessage(msg_type=<MsgType.PASS1: 1>, payload=b'*')"),
+        (party_a, threepass.ShamirParty(prime=23, e=5, d=9), "ShamirParty(prime=23)"),
+        (threepass.shamir_exchange(party_a, party_b, 3), threepass.ShamirTranscript(13, 9, 2, 3),
+         "ShamirTranscript(pass1=13, pass2=9, pass3=2, recovered=3)"),
+        (net.InitiatorOutcome(1, 2, 3, (b"a",)), net.InitiatorOutcome(1, 2, 3, (b"a",)),
+         "InitiatorOutcome(pass1=1, pass2=2, pass3=3, frames=(b'a',))"),
+        (net.ResponderOutcome(4, 1, 2, 3, ()), net.ResponderOutcome(4, 1, 2, 3, ()),
+         "ResponderOutcome(recovered=4, pass1=1, pass2=2, pass3=3, frames=())"),
+    ]
+    for value, twin, shown in cases:
+        name = type(value).__name__
+        if shown is not None and repr(value) != shown:
+            return f"repr {repr(value)}"
+        if value != twin or hash(value) != hash(twin) or value == object():
+            return f"{name} equality or hash"
+        if pickle.loads(pickle.dumps(value)) != value:
+            return f"{name} pickle round trip"
+    return None
+
+
 def seeded_keys_digest():
     digest = hashlib.sha256()
     for seed in range(4):
@@ -99,12 +149,21 @@ def main():
             return 1
         print(f"{version}: ok n = {p * q}")
     key15 = paillier.from_primes(3, 5)
-    for name, check in (("blind chain", check_blind_chain), ("reveal rule", check_reveal_rule)):
+    for name, check in (
+        ("blind chain", check_blind_chain),
+        ("reveal rule", check_reveal_rule),
+        ("value types", check_value_types),
+    ):
         failure = check(key15)
         if failure:
             print(f"{version}: FAIL n = 15, {name}: {failure}")
             return 1
         print(f"{version}: ok n = 15, {name}")
+    failure = check_no_dataclasses()
+    if failure:
+        print(f"{version}: FAIL {failure}")
+        return 1
+    print(f"{version}: ok importing p3p leaves dataclasses unloaded")
     digest = seeded_keys_digest()
     if digest != SEEDED_KEYS_SHA256:
         print(f"{version}: FAIL seeded serialize_key digest {digest}")

@@ -7,7 +7,8 @@ the encoded integer does not fit. Any command that draws randomness is
 deterministic under --seed and draws from OS entropy without it;
 3pass-listen --seed S seeds its session i with S + i.
 
-Exit codes: 0 success, 1 usage, 2 crypto/protocol error.
+Exit codes: 0 success, 1 usage, 2 crypto/protocol error, 130 interrupted
+(Ctrl-C, with one ``error: interrupted`` line).
 
 A command imports only the modules it runs: handlers import ``signature``,
 ``trapdoor``, ``threepass`` and ``net`` themselves, so ``encrypt`` never
@@ -31,6 +32,7 @@ if TYPE_CHECKING:
 
 USAGE_EXIT = 1
 ERROR_EXIT = 2
+INTERRUPT_EXIT = 130  # 128 + SIGINT, as a shell reports a process it interrupted
 
 
 class _UsageError(Exception):
@@ -362,10 +364,22 @@ _COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone when it names one.
+
+    One subparser is enough to parse a command line that starts with its
+    command, and building the other twelve is start-up time. With one
+    subparser, every choice is spelled out as the metavar, so usage lines
+    read the same either way. With all of them the metavar stays unset,
+    because argparse also names an invalid choice's argument by it.
+    """
     parser = _Parser(prog="p3p", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, handler, options in _COMMANDS:
+    commands = [c for c in _COMMANDS if c[0] == command] or _COMMANDS
+    metavar = None
+    if len(commands) == 1:
+        metavar = "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, handler, options in commands:
         p = sub.add_parser(name, help=help_text)
         for option in options:
             flag, kwargs = (option, _SHARED[option]) if isinstance(option, str) else option
@@ -375,7 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -388,6 +403,9 @@ def main(argv=None) -> int:
     except P3PError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return ERROR_EXIT
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return INTERRUPT_EXIT
 
 
 if __name__ == "__main__":

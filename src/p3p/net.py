@@ -24,10 +24,10 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import numtheory as nt
+from ._record import Record
 from .errors import (
     DomainError,
     MalformedMessage,
@@ -146,21 +146,17 @@ def memory_channel_pair(
     )
 
 
-@dataclass(frozen=True)
-class InitiatorOutcome:
-    pass1: int
-    pass2: int
-    pass3: int
-    frames: tuple[bytes, ...]  # every frame sent or received, in order
+class InitiatorOutcome(Record):
+    _fields = (
+        "pass1",
+        "pass2",
+        "pass3",
+        "frames",  # every frame sent or received, in order, as bytes
+    )
 
 
-@dataclass(frozen=True)
-class ResponderOutcome:
-    recovered: int
-    pass1: int
-    pass2: int
-    pass3: int
-    frames: tuple[bytes, ...]
+class ResponderOutcome(Record):
+    _fields = ("recovered", "pass1", "pass2", "pass3", "frames")
 
 
 def _send(channel, frames: list, msg: WireMessage) -> None:

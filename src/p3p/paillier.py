@@ -11,7 +11,6 @@ ciphertexts are immutable; every operation is pure.
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 # SHA-256 from the interpreter's built-in module, the way the stdlib's random
 # takes sha512; the OpenSSL-backed constructor would map libcrypto into every
@@ -25,6 +24,7 @@ except ImportError:
         from hashlib import sha256
 
 from . import numtheory as nt
+from ._record import Record
 from .errors import (
     DomainError,
     KeyMismatch,
@@ -45,28 +45,25 @@ def fingerprint_modulus(n: int) -> bytes:
     return sha256(n.to_bytes((n.bit_length() + 7) // 8, "big")).digest()
 
 
-@dataclass(frozen=True)
-class PublicKey:
+class PublicKey(Record):
     """Everything a sender or verifier needs: the modulus and residue base.
 
     The base is g = n + 1: the class problem is random-self-reducible over
     g (Paillier, EUROCRYPT '99, section 3), so no other base is harder.
     Key files and key announces carry g. Construction is the one check of
-    a public key: it raises DomainError unless n >= 2 and g = n + 1.
+    a public key: it raises DomainError unless n >= 2 and g = n + 1. It
+    derives ``n_squared`` and ``fingerprint``.
     """
 
-    n: int
-    g: int
-    n_squared: int = field(init=False, repr=False)
-    fingerprint: bytes = field(init=False, repr=False)
+    _fields = ("n", "g")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n: int, g: int):
+        super().__init__(n, g)
+        if n < 2:
             raise DomainError("modulus is too small: n must be at least 2")
-        if self.g != self.n + 1:
+        if g != n + 1:
             raise DomainError("base must be n + 1")
-        object.__setattr__(self, "n_squared", self.n * self.n)
-        object.__setattr__(self, "fingerprint", fingerprint_modulus(self.n))
+        self._set_derived(n_squared=n * n, fingerprint=fingerprint_modulus(n))
 
     def __repr__(self):
         return (
@@ -75,8 +72,7 @@ class PublicKey:
         )
 
 
-@dataclass(frozen=True, repr=False)
-class _Half:
+class _Half(Record):
     """A private key's arithmetic modulo one of its primes r and r^2.
 
     Each private-key operation applies one method to both halves and sums
@@ -84,12 +80,15 @@ class _Half:
     (Paillier, EUROCRYPT '99, section 7). No repr: a half holds r.
     """
 
-    r: int
-    r_squared: int
-    h: int  # L_r(g^(r-1) mod r^2)^-1 mod r
-    d: int  # n^-1 mod (r-1)
-    e: int  # n mod (r-1)
-    u2: int  # 1 mod r^2, 0 mod the other square; so 1 mod r, 0 mod the other prime
+    _fields = (
+        "r",
+        "r_squared",
+        "h",  # L_r(g^(r-1) mod r^2)^-1 mod r
+        "d",  # n^-1 mod (r-1)
+        "e",  # n mod (r-1)
+        "u2",  # 1 mod r^2, 0 mod the other square; so 1 mod r, 0 mod the other prime
+    )
+    __repr__ = object.__repr__
 
     def class_(self, w: int) -> int:
         """Class of w mod r: Z*_{r^2} has order r(r-1), so w = g^s1 * x^n
@@ -110,25 +109,20 @@ class _Half:
         return pow(v % self.r, self.d, self.r)
 
 
-@dataclass(frozen=True)
-class PrivateKey:
+class PrivateKey(Record):
     """The primes p, q and base g = n + 1; all other fields derive from them.
 
     Construction is the one derivation and check of a private key. It raises
     DomainError if p = q, gcd(n, lambda) != 1, or PublicKey(p*q, g) does
-    (so unless g = n + 1); p and q are trusted to be prime.
+    (so unless g = n + 1); p and q are trusted to be prime. It derives
+    ``public``, ``lam`` = lcm(p-1, q-1), ``mu`` = L(g^lam mod n^2)^-1 mod n
+    and the two ``halves``.
     """
 
-    p: int = field(repr=False)
-    q: int = field(repr=False)
-    g: int = field(repr=False)
-    public: PublicKey = field(init=False, repr=False, compare=False)
-    lam: int = field(init=False, repr=False, compare=False)  # lcm(p-1, q-1)
-    mu: int = field(init=False, repr=False, compare=False)  # L(g^lam mod n^2)^-1 mod n
-    halves: tuple[_Half, _Half] = field(init=False, repr=False, compare=False)
+    _fields = ("p", "q", "g")
 
-    def __post_init__(self):
-        p, q, g = self.p, self.q, self.g
+    def __init__(self, p: int, q: int, g: int):
+        super().__init__(p, q, g)
         if p == q:
             raise DomainError("primes must be distinct")
         public = PublicKey(n=p * q, g=g)
@@ -153,20 +147,17 @@ class PrivateKey:
                 _Half(r, r * r, inverse * k % r, nt.mod_inv(n, r - 1), n % (r - 1), u2)
             )
             mu += inverse * other % r * u2
-        derived = {"public": public, "lam": lam, "mu": mu % n, "halves": tuple(halves)}
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+        self._set_derived(public=public, lam=lam, mu=mu % n, halves=tuple(halves))
 
     def __repr__(self):
         return f"<PrivateKey for {self.public!r}>"
 
 
-@dataclass(frozen=True)
-class Ciphertext:
+class Ciphertext(Record):
     """Element of Z*_{n^2} tagged with the fingerprint of its key's modulus."""
 
-    value: int
-    key_fingerprint: bytes = field(repr=False)
+    _fields = ("value", "key_fingerprint")
+    _shown = ("value",)
 
 
 def _is_unit(pk: PublicKey, w: int) -> bool:

@@ -7,9 +7,8 @@ class 0, the signer's s1 equals the s1 of the original message --
 blindness here covers the residue part only, not the class.
 """
 
-from dataclasses import dataclass, field
-
 from . import numtheory as nt
+from ._record import Record
 from .errors import InternalError, NotSignable
 from .paillier import PrivateKey, PublicKey, _is_unit, _nth_power, _raw_encrypt, split_residue
 from .paillier import sha256
@@ -17,21 +16,19 @@ from .paillier import sha256
 _HASH_ATTEMPTS = 256
 
 
-@dataclass(frozen=True)
-class Signature:
-    s1: int
-    s2: int
+class Signature(Record):
+    _fields = ("s1", "s2")
 
 
-@dataclass(frozen=True)
-class BlindingSecret:
+class BlindingSecret(Record):
     """Unit x used to blind; unblinding divides it back out.
 
     Sensitive: keep single-owner and drop the reference as soon as the
     signature is unblinded (Python offers no reliable zeroization).
     """
 
-    x: int = field(repr=False)
+    _fields = ("x",)
+    _shown = ()
 
 
 def _check_signable(pk: PublicKey, m: int) -> None:

@@ -15,9 +15,9 @@ is the natural misuse; every violation raises instead of desynchronizing.
 
 import enum
 import math
-from dataclasses import dataclass, field
 
 from . import numtheory as nt
+from ._record import Record
 from .errors import DomainError, MalformedMessage, NotInvertible, ProtocolOrderViolation
 from .paillier import PrivateKey, PublicKey, _check_plaintext, _class, _is_unit
 from .paillier import _power_mod_n, encrypt
@@ -139,27 +139,26 @@ def _check_prime(prime: int) -> None:
     nt.require_prime(prime, "the shared prime")
 
 
-@dataclass(frozen=True)
-class ShamirParty:
+class ShamirParty(Record):
     """Per-conversation exponent pair modulo a shared public prime, checked
     when it is built."""
 
-    prime: int
-    e: int = field(repr=False)  # encryption exponent, coprime to prime - 1
-    d: int = field(repr=False)  # decryption exponent, e^-1 mod prime - 1
+    _fields = (
+        "prime",
+        "e",  # encryption exponent, coprime to prime - 1
+        "d",  # decryption exponent, e^-1 mod prime - 1
+    )
+    _shown = ("prime",)
 
-    def __post_init__(self):
-        _check_prime(self.prime)
-        if self.e * self.d % (self.prime - 1) != 1:
+    def __init__(self, prime: int, e: int, d: int):
+        super().__init__(prime, e, d)
+        _check_prime(prime)
+        if e * d % (prime - 1) != 1:
             raise DomainError("d does not invert e modulo prime - 1")
 
 
-@dataclass(frozen=True)
-class ShamirTranscript:
-    pass1: int
-    pass2: int
-    pass3: int
-    recovered: int
+class ShamirTranscript(Record):
+    _fields = ("pass1", "pass2", "pass3", "recovered")
 
 
 def shamir_keygen(prime: int, rng: nt.RandomSource | None = None) -> ShamirParty:

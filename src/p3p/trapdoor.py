@@ -9,8 +9,8 @@ semantically secure -- it trades randomness for a halved expansion factor.
 """
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError, InadmissibleMessage
 from .paillier import Ciphertext, PrivateKey, PublicKey, _raw_encrypt, split_residue
 from .paillier import _check_ciphertext_value, _check_key
@@ -19,14 +19,15 @@ REASON_ZERO_QUOTIENT = "zero-quotient"
 REASON_NOT_COPRIME = "quotient-not-coprime"
 
 
-@dataclass(frozen=True)
-class WideMessage:
+class WideMessage(Record):
     """n-adic split of a candidate message: value = high * n + low."""
 
-    value: int
-    low: int  # value mod n
-    high: int  # value div n
-    inadmissible_reason: str | None  # None when encryptable
+    _fields = (
+        "value",
+        "low",  # value mod n
+        "high",  # value div n
+        "inadmissible_reason",  # None when encryptable
+    )
 
     @property
     def admissible(self) -> bool:

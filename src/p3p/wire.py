@@ -17,8 +17,8 @@ Building a frame that no reader would accept raises DomainError.
 """
 
 import enum
-from dataclasses import dataclass
 
+from ._record import Record
 from .encoding import decode_fields, encode_uint, int_to_bytes
 from .errors import DomainError, ParseError, RangeError
 from .paillier import PublicKey
@@ -40,10 +40,8 @@ class MsgType(enum.IntEnum):
 _INTEGER_TYPES = (MsgType.PASS1, MsgType.PASS2, MsgType.PASS3)
 
 
-@dataclass(frozen=True)
-class WireMessage:
-    msg_type: MsgType
-    payload: bytes
+class WireMessage(Record):
+    _fields = ("msg_type", "payload")
 
     @property
     def value(self) -> int:

@@ -3,9 +3,11 @@ it wraps each function in its TRACED table and shadows the builtin ``pow``
 in every p3p module. These tests fail when a change to p3p removes a
 traced name or shadows ``pow``, before a traced benchmark run would."""
 
+import json
 import random
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
@@ -14,7 +16,8 @@ from p3p import numtheory as nt
 
 from conftest import child_env
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_tracing():
@@ -103,3 +106,34 @@ def test_tracer_sees_the_calls_of_a_lazily_importing_handler(tmp_path):
     assert code == 0
     names = {span[2] for span in tracer.export()}
     assert {"signature.sign_raw", "keyfile.parse_key", "numtheory.pow_n2"} <= names
+
+
+# Run in a fresh interpreter: every workload of BENCHMARK.json traced, at
+# the smoke test's toy key size for 0.2 s, through the function that builds
+# the benchmark's result line; it raises when a listed ms metric was not
+# measured. Every file a run writes goes to the directory in argv[2].
+TRACED_RUNS = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+
+    root, out = Path(sys.argv[1]), Path(sys.argv[2])
+    sys.path.insert(0, str(root / "perfbench"))
+    import run
+
+    run.OUT = out
+    run._import_p3p()
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    for workload in spec["workloads"]:
+        run._result_line(run.run(workload["name"], 1, 0.2, True, 256), spec)
+        print(workload["name"])
+""")
+
+
+def test_a_traced_run_of_every_workload_measures_every_listed_metric(tmp_path):
+    env = child_env()
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # nothing written next to perfbench/
+    done = subprocess.run([sys.executable, "-c", TRACED_RUNS, str(ROOT), str(tmp_path)],
+                          capture_output=True, text=True, timeout=300, env=env)
+    assert done.returncode == 0, done.stderr
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert done.stdout.split() == [w["name"] for w in spec["workloads"]]

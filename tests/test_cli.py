@@ -1,6 +1,7 @@
 import base64
 import os
 import re
+import signal
 import socket
 import stat
 import subprocess
@@ -267,6 +268,25 @@ def test_listener_answers_a_huge_pass_with_one_error_line():
         out, err = listener.communicate(timeout=20)
         assert listener.returncode == 2, err
         assert err.splitlines() == ["error: bad frame: PASS1 payload is not below n^2"]
+    finally:
+        if listener.poll() is None:
+            listener.kill()
+            listener.communicate()
+
+
+def test_ctrl_c_ends_the_listener_with_one_error_line():
+    listener = subprocess.Popen(
+        CLI + ["3pass-listen", "--port", "0", "--count", "3", "--timeout", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    try:
+        assert listener.stdout.readline().startswith("listening ")
+        listener.send_signal(signal.SIGINT)
+        out, err = listener.communicate(timeout=10)
+        assert (listener.returncode, err) == (130, "error: interrupted\n")  # 128 + SIGINT
     finally:
         if listener.poll() is None:
             listener.kill()

@@ -286,3 +286,29 @@ def test_existing_private_file_is_narrowed_to_0600(tmp_path, umask_022):
     assert cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix)]) == 0
     assert mode_of(key) == 0o600
     assert key.read_bytes().startswith(b"paillier-private-v1")
+
+
+def parser_exit(parser, argv, capsys):
+    with pytest.raises(SystemExit) as done:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return done.value.code, captured.out, captured.err
+
+
+COMMAND_NAMES = [name for name, *_ in cli._COMMANDS]
+# Help, missing options, and an extra argument, which the top-level parser
+# reports under its own usage line.
+PARSER_EXITS = (
+    [[name, "--help"] for name in COMMAND_NAMES]
+    + [[name] for name in COMMAND_NAMES]
+    + [["decrypt", "--key", "k.key", "--ciphertext", "2a", "extra"],
+       ["3pass-listen", "--port", "0", "extra"]]
+)
+
+
+@pytest.mark.parametrize("argv", PARSER_EXITS, ids=" ".join)
+def test_a_one_command_parser_prints_what_the_full_one_does(argv, capsys):
+    # main builds only the subparser its command line names
+    alone = parser_exit(cli.build_parser(argv[0]), argv, capsys)
+    assert alone == parser_exit(cli.build_parser(), argv, capsys)
+    assert alone[0] in (0, cli.USAGE_EXIT)

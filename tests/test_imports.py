@@ -91,6 +91,29 @@ def test_loopback_session_loads_no_openssl(tmp_path, capsys):
     assert loaded & NO_OPENSSL == set()
 
 
+# The value types are hand-written records: no command pays for the import
+# of dataclasses and the inspect module it pulls in.
+NO_DATACLASSES = {"dataclasses", "inspect"}
+
+
+def test_everyday_commands_load_no_dataclasses(tmp_path, capsys):
+    prefix = tmp_path / "k"
+    assert cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    loaded = loaded_modules(EVERYDAY_COMMANDS, f"{prefix}.pub", f"{prefix}.key",
+                            str(tmp_path / "m.sig"))
+    assert loaded & NO_DATACLASSES == set()
+
+
+def test_loopback_session_loads_no_dataclasses(tmp_path, capsys):
+    prefix = tmp_path / "k"
+    assert cli.main(["keygen", "--bits", "64", "--seed", "7", "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    loaded = loaded_modules(LOOPBACK_SESSION, f"{prefix}.key")
+    assert "p3p.net" in loaded
+    assert loaded & NO_DATACLASSES == set()
+
+
 # The built-in modules hidden, so the import falls back to hashlib.
 FALLBACK_DIGESTS = textwrap.dedent("""
     import hashlib, random, sys

@@ -23,7 +23,7 @@ import random
 import subprocess
 import sys
 
-from p3p import keyfile, net, paillier, signature, threepass, trapdoor, wire
+from p3p import keyfile, net, paillier, signature, threepass, wire
 from p3p.errors import MalformedMessage
 
 # sha256 over serialize_key of keygen(128, Random(seed)) for seeds 0-3, as
@@ -110,8 +110,6 @@ def check_value_types(sk):
          "Ciphertext(value=83)"),
         (signature.Signature(7, 2), signature.Signature(s1=7, s2=2), "Signature(s1=7, s2=2)"),
         (signature.BlindingSecret(2), signature.BlindingSecret(x=2), "BlindingSecret()"),
-        (trapdoor.decompose(107, 15), trapdoor.WideMessage(107, 2, 7, None),
-         "WideMessage(value=107, low=2, high=7, inadmissible_reason=None)"),
         (wire.pass_message(wire.MsgType.PASS1, 42), wire.WireMessage(wire.MsgType.PASS1, b"*"),
          "WireMessage(msg_type=<MsgType.PASS1: 1>, payload=b'*')"),
         (party_a, threepass.ShamirParty(prime=23, e=5, d=9), "ShamirParty(prime=23)"),

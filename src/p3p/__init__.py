@@ -30,7 +30,6 @@ _EXPORTS = {
         "encrypt",
         "encrypt_with_nonce",
         "extract_class",
-        "extract_residue",
         "from_primes",
         "homomorphic_add",
         "keygen",
@@ -46,7 +45,7 @@ _EXPORTS = {
         "shamir_exchange",
         "shamir_keygen",
     ),
-    "trapdoor": ("WideMessage", "decompose", "tp_decrypt", "tp_encrypt"),
+    "trapdoor": ("tp_decrypt", "tp_encrypt"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

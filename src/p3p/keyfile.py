@@ -44,16 +44,16 @@ def _open_envelope(data: bytes, *headers: str) -> tuple[str, bytes]:
     try:
         text = data.decode("ascii")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"not an ascii envelope: {exc}", offset=0) from None
+        raise ParseError(f"not an ascii envelope: {exc}") from None
     header, _, rest = text.partition("\n")
     body_text = "".join(rest.split())
     try:
         body = base64.b64decode(body_text, validate=True)
     except (binascii.Error, ValueError):
-        raise ParseError("body is not valid base64", offset=0) from None
+        raise ParseError("body is not valid base64") from None
     header = header.strip()
     if header not in headers:
-        raise ParseError(f"unknown header {header!r}", offset=0)
+        raise ParseError(f"unknown header {header!r}")
     return header, body
 
 
@@ -76,21 +76,21 @@ def parse_key(data: bytes) -> PublicKey | PrivateKey:
         try:
             return PublicKey(n=n, g=g)
         except DomainError as exc:
-            raise ParseError(f"invalid key: {exc}", offset=0) from None
+            raise ParseError(f"invalid key: {exc}") from None
     n, g, p, q, lam, mu = decode_fields(body, 6)
     if p * q != n:
-        raise ParseError("field mismatch: n is not p*q", offset=0)
+        raise ParseError("field mismatch: n is not p*q")
     for name, factor in (("p", p), ("q", q)):
         if not nt.is_base2_probable_prime(factor):
-            raise ParseError(f"factor {name} is not prime", offset=0)
+            raise ParseError(f"factor {name} is not prime")
     try:
         key = PrivateKey(p, q, g)
     except (DomainError, NotInvertible) as exc:
-        raise ParseError(f"invalid key: {exc}", offset=0) from None
+        raise ParseError(f"invalid key: {exc}") from None
     if key.lam != lam:
-        raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)", offset=0)
+        raise ParseError("field mismatch: lambda is not lcm(p-1, q-1)")
     if key.mu != mu:
-        raise ParseError("field mismatch: mu does not invert L(g^lambda)", offset=0)
+        raise ParseError("field mismatch: mu does not invert L(g^lambda)")
     return key
 
 
@@ -116,5 +116,5 @@ def parse_blinding_secret(data: bytes, n: int) -> "BlindingSecret":
     _, body = _open_envelope(data, BLINDING_HEADER)
     (x,) = decode_fields(body, 1)
     if not 1 <= x < n or math.gcd(x, n) != 1:
-        raise ParseError("blinding value is not a unit in [1, n)", offset=0)
+        raise ParseError("blinding value is not a unit in [1, n)")
     return BlindingSecret(x=x)

@@ -168,14 +168,12 @@ def gen_prime(bits: int, rng: RandomSource | None = None) -> int:
     ``KEYGEN_MR_ROUNDS_BY_BITS``. Witnesses come from the system source,
     so the primes found depend on ``rng`` alone.
     """
-    if bits < 2:
-        raise DomainError("primes need at least 2 bits")
+    if bits < 3:
+        raise DomainError("primes need at least 3 bits")
     rng = _rng(rng)
     rounds = _keygen_rounds(bits)
     while True:
-        candidate = rng.randrange(1 << (bits - 1), 1 << bits)
-        if bits > 2:
-            candidate |= 1
+        candidate = rng.randrange(1 << (bits - 1), 1 << bits) | 1
         if is_probable_prime(candidate, rounds):
             return candidate
 

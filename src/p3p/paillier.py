@@ -294,12 +294,6 @@ def extract_class(sk: PrivateKey, w: int, base: int) -> int:
     return _class(sk, w) * denominator_inv % pk.n
 
 
-def extract_residue(sk: PrivateKey, w: int) -> int:
-    """The n-th-power part left after dividing out the key base's class:
-    s2^n mod n^2 for the root s2 that split_residue finds."""
-    return _nth_power(sk, split_residue(sk, w)[1])
-
-
 def principal_root(sk: PrivateKey, value: int) -> int:
     """The unique n-th root below n of an n-residue.
 

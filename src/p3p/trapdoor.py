@@ -10,7 +10,6 @@ semantically secure -- it trades randomness for a halved expansion factor.
 
 import math
 
-from ._record import Record
 from .errors import DomainError, InadmissibleMessage
 from .paillier import Ciphertext, PrivateKey, PublicKey, _raw_encrypt, split_residue
 from .paillier import _check_ciphertext_value, _check_key
@@ -19,42 +18,18 @@ REASON_ZERO_QUOTIENT = "zero-quotient"
 REASON_NOT_COPRIME = "quotient-not-coprime"
 
 
-class WideMessage(Record):
-    """n-adic split of a candidate message: value = high * n + low."""
-
-    _fields = (
-        "value",
-        "low",  # value mod n
-        "high",  # value div n
-        "inadmissible_reason",  # None when encryptable
-    )
-
-    @property
-    def admissible(self) -> bool:
-        return self.inadmissible_reason is None
-
-
-def decompose(m: int, n: int) -> WideMessage:
-    """Split m < n^2 into its n-adic digits and flag admissibility."""
-    if not 0 <= m < n * n:
-        raise DomainError("message must be in [0, n^2)")
-    high, low = divmod(m, n)
-    if high == 0:
-        reason = REASON_ZERO_QUOTIENT
-    elif math.gcd(high, n) != 1:
-        reason = REASON_NOT_COPRIME
-    else:
-        reason = None
-    return WideMessage(value=m, low=low, high=high, inadmissible_reason=reason)
-
-
 def tp_encrypt(pk: PublicKey, m: int) -> Ciphertext:
     """Deterministic ciphertext g^low * high^n mod n^2 of an admissible m."""
-    wide = decompose(m, pk.n)
-    if not wide.admissible:
-        reason = wide.inadmissible_reason
-        raise InadmissibleMessage(f"inadmissible message: {reason}", reason)
-    return Ciphertext(_raw_encrypt(pk, wide.low, wide.high), pk.fingerprint)
+    if not 0 <= m < pk.n_squared:
+        raise DomainError("message must be in [0, n^2)")
+    high, low = divmod(m, pk.n)
+    if high == 0:
+        reason = REASON_ZERO_QUOTIENT
+    elif math.gcd(high, pk.n) != 1:
+        reason = REASON_NOT_COPRIME
+    else:
+        return Ciphertext(_raw_encrypt(pk, low, high), pk.fingerprint)
+    raise InadmissibleMessage(f"inadmissible message: {reason}", reason)
 
 
 def tp_decrypt(sk: PrivateKey, c: Ciphertext) -> int:

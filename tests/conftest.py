@@ -1,3 +1,4 @@
+import faulthandler
 import os
 import socket
 from pathlib import Path
@@ -45,6 +46,32 @@ def read_to_end(sock):
     while chunk := sock.recv(4096):
         chunks.append(chunk)
     return b"".join(chunks)
+
+
+WATCHDOG_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # stderr as it is now, before output capture redirects fd 2
+    fd = config.stash[WATCHDOG_FD] = os.dup(2)
+    config.add_cleanup(lambda: os.close(fd))
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_make_collect_report(collector):
+    """The per-test watchdog of pyproject.toml, also while a module is
+    imported: a module-level call that hangs ends the run with every
+    thread's traceback instead of stalling it."""
+    config = collector.config
+    timeout = float(config.getini("faulthandler_timeout") or 0)
+    if not timeout:
+        return (yield)
+    exit_on_timeout = config.getini("faulthandler_exit_on_timeout")
+    faulthandler.dump_traceback_later(timeout, exit=exit_on_timeout, file=config.stash[WATCHDOG_FD])
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture

@@ -172,6 +172,7 @@ def test_tp_encrypt_decrypt_roundtrip(keypair):
         "tp-decrypt", "--key", f"{keypair}.key",
         "--ciphertext", encrypted.stdout.strip(),
     )
+    assert decrypted.returncode == 0
     assert decrypted.stdout.strip() == message
 
 
@@ -199,6 +200,15 @@ def test_usage_errors_exit_one(keypair):
     assert run_cli("encrypt", "--key", f"{keypair}.pub").returncode == 1
     bad_hex = run_cli("encrypt", "--key", f"{keypair}.pub", "--message", "zz")
     assert bad_hex.returncode == 1
+
+
+@pytest.mark.parametrize("args", [(), ("decrypt",), ("decrypt", "--key"), ("bogus",)],
+                         ids=["no-command", "no-options", "no-key-path", "unknown-command"])
+def test_a_usage_error_is_one_error_line(args):
+    result = run_cli(*args)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert sum(line.startswith("error:") for line in result.stderr.splitlines()) == 1
 
 
 def test_crypto_errors_exit_two(keypair, tmp_path):

@@ -98,20 +98,11 @@ SWEEP = {
         (lambda v: threepass.ShamirParty(23, 3, v), HOSTILE),
     ],
     "Signature": [(lambda v: Signature(v, 2), HOSTILE), (lambda v: Signature(2, v), HOSTILE)],
-    "WideMessage": [
-        (lambda v: trapdoor.WideMessage(v, 1, 1, None), HOSTILE),
-        (lambda v: trapdoor.WideMessage(16, v, 1, None), HOSTILE),
-        (lambda v: trapdoor.WideMessage(16, 1, v, None), HOSTILE),
-    ],
     "add_plaintext": [
         (lambda v: paillier.add_plaintext(PK, ct(v), 1), HOSTILE),
         (lambda v: paillier.add_plaintext(PK, C, v), HOSTILE),
     ],
     "blind": [(lambda v: signature.blind(PK, v, random.Random(1)), HOSTILE)],
-    "decompose": [
-        (lambda v: trapdoor.decompose(v, N), HOSTILE),
-        (lambda v: trapdoor.decompose(16, v), HOSTILE),
-    ],
     "decrypt": [(lambda v: paillier.decrypt(SK, ct(v)), HOSTILE)],
     "encrypt": [(lambda v: paillier.encrypt(PK, v, random.Random(1)), HOSTILE)],
     "encrypt_with_nonce": [
@@ -122,7 +113,6 @@ SWEEP = {
         (lambda v: paillier.extract_class(SK, v, PK.g), HOSTILE),
         (lambda v: paillier.extract_class(SK, C.value, v), HOSTILE),
     ],
-    "extract_residue": [(lambda v: paillier.extract_residue(SK, v), HOSTILE)],
     "from_primes": [
         (lambda v: paillier.from_primes(v, 5), HOSTILE),
         (lambda v: paillier.from_primes(3, v), HOSTILE),

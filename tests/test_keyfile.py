@@ -65,6 +65,19 @@ def test_truncated_body_rejected_with_offset():
     assert excinfo.value.offset is not None
 
 
+def test_a_fault_with_no_byte_of_its_own_has_no_offset():
+    body = encode_uint(15) + encode_uint(16) + encode_uint(3) + encode_uint(7)
+    for bad in (
+        b"\xff",  # not ascii
+        b"paillier-public-v1\n!!!\n",  # not base64
+        b"paillier-secret-v1\n",  # unknown header
+        b"paillier-private-v1\n" + base64.b64encode(body + encode_uint(8) + encode_uint(1)),
+    ):
+        with pytest.raises(ParseError) as excinfo:
+            keyfile.parse_key(bad)
+        assert excinfo.value.offset is None, bad
+
+
 def test_non_canonical_integer_rejected():
     # inject a leading zero byte into the modulus field
     body = b"\x00\x00\x00\x02\x00\x0f" + encode_uint(16)

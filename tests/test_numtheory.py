@@ -124,6 +124,13 @@ def test_base_2_round_matches_the_oracle_and_misses_only_pseudoprimes():
     assert not nt.is_base2_probable_prime(2**128 - 1)
 
 
+def test_strong_round_matches_the_oracle_for_every_base():
+    for n in range(5, 700, 2):
+        for a in range(2, n - 1):
+            assert nt._strong_round(n, a) == strong_probable_prime(n, a), (n, a)
+    assert nt.is_base2_probable_prime(2047) is True  # 23 * 89, the least strong pseudoprime
+
+
 def hac_448_bound(k, t):
     """HAC Fact 4.48(ii): average-case error of t Miller-Rabin rounds on a
     uniformly random odd k-bit integer (Damgard, Landrock, Pomerance)."""
@@ -170,27 +177,23 @@ def test_gen_prime_matches_the_textbook_search(bits):
         assert nt.gen_prime(bits, random.Random(seed)) == expected, seed
 
 
-def test_gen_prime_two_bits():
-    draws = {nt.gen_prime(2, random.Random(i)) for i in range(12)}
-    assert draws and draws <= {2, 3}
-
-
 def test_gen_prime_seeded_regression():
     value = nt.gen_prime(16, random.Random(2024))
     assert value == 63473
     assert trial_division_is_prime(value)
 
 
-@pytest.mark.parametrize("bits", [2, 3, 8, 16, 48])
+@pytest.mark.parametrize("bits", [3, 8, 16, 48])
 def test_gen_prime_bit_length_and_primality(bits):
     value = nt.gen_prime(bits, random.Random(bits))
     assert value.bit_length() == bits
     assert nt.is_probable_prime(value, 40)
 
 
-def test_gen_prime_rejects_one_bit():
-    with pytest.raises(DomainError):
-        nt.gen_prime(1)
+def test_gen_prime_rejects_fewer_than_three_bits():
+    for bits in (1, 2):
+        with pytest.raises(DomainError, match="at least 3 bits"):
+            nt.gen_prime(bits)
 
 
 def test_random_unit_smallest_modulus():

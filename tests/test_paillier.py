@@ -271,20 +271,6 @@ def test_extract_class_rejects_bad_inputs():
         paillier.extract_class(KEY15, 15, 16)  # 15 is not a unit
 
 
-def test_extract_residue_known_answers():
-    assert paillier.extract_residue(KEY15, 83) == 143
-    assert 143 == pow(2, 15, 225)
-    assert paillier.extract_residue(KEY15, 16) == 1  # the base's own residue
-
-
-def test_extract_residue_has_class_zero():
-    rng = random.Random(8)
-    for _ in range(25):
-        w = rng.choice(units(225))
-        z = paillier.extract_residue(KEY15, w)
-        assert paillier.extract_class(KEY15, z, 16) == 0
-
-
 def test_homomorphic_add_known_answer():
     c1 = paillier.encrypt_with_nonce(PK15, 3, 1)
     c2 = paillier.encrypt_with_nonce(PK15, 4, 1)

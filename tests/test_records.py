@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from p3p import net, paillier, signature, threepass, trapdoor, wire
+from p3p import net, paillier, signature, threepass, wire
 from p3p.paillier import Ciphertext, PrivateKey, PublicKey
 
 SK15 = paillier.from_primes(3, 5)
@@ -44,11 +44,6 @@ CASES = {
     "BlindingSecret": (
         signature.BlindingSecret(x=2), signature.BlindingSecret(2),
         signature.BlindingSecret(x=4), "BlindingSecret()",
-    ),
-    "WideMessage": (
-        trapdoor.decompose(100, 15), trapdoor.WideMessage(100, 10, 6, "quotient-not-coprime"),
-        trapdoor.decompose(107, 15),
-        "WideMessage(value=100, low=10, high=6, inadmissible_reason='quotient-not-coprime')",
     ),
     "WireMessage": (
         wire.pass_message(wire.MsgType.PASS1, 0x2A),
@@ -139,7 +134,5 @@ def test_wrong_arguments_raise_type_error():
 
 
 def test_properties_read_the_fields():
-    assert not trapdoor.decompose(100, 15).admissible
-    assert trapdoor.decompose(107, 15).admissible
     assert wire.pass_message(wire.MsgType.PASS3, 0x2A).value == 42
     assert wire.error_message("no").error_text == "no"

@@ -21,31 +21,11 @@ def admissible_messages(n):
     ]
 
 
-def test_decompose_known_answers():
-    wide = trapdoor.decompose(37, 15)
-    assert (wide.low, wide.high) == (7, 2)
-    assert wide.admissible
-
-    below_n = trapdoor.decompose(7, 15)
-    assert below_n.high == 0
-    assert below_n.inadmissible_reason == REASON_ZERO_QUOTIENT
-
-    shared_factor = trapdoor.decompose(46, 15)
-    assert shared_factor.high == 3
-    assert shared_factor.inadmissible_reason == REASON_NOT_COPRIME
-
-
-def test_decompose_rejects_wide_values():
+def test_tp_encrypt_rejects_wide_values():
     with pytest.raises(DomainError):
-        trapdoor.decompose(225, 15)
+        trapdoor.tp_encrypt(PK15, 225)
     with pytest.raises(DomainError):
-        trapdoor.decompose(-1, 15)
-
-
-def test_decompose_reassembles():
-    for m in range(225):
-        wide = trapdoor.decompose(m, 15)
-        assert wide.high * 15 + wide.low == m
+        trapdoor.tp_encrypt(PK15, -1)
 
 
 def test_tp_encrypt_known_answer():

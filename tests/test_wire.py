@@ -243,3 +243,31 @@ def test_check_header_is_the_header_rule_of_decode_msg():
         assert wire.decode_msg(header + payload) == WireMessage(msg_type, payload)
         accepted += 1
     assert 1_000 < accepted < 9_000
+
+
+FRAME83 = wire.encode_msg(wire.pass_message(MsgType.PASS1, 83))
+
+
+@pytest.mark.parametrize("frame, offset", [
+    (b"P3PP", 4),  # truncated header: where the missing bytes start
+    (wire.MAGIC + bytes((1, 1)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"), 6),
+    (FRAME83 + b"\x00", 6),  # the length field disagrees with the frame
+    (FRAME83[:-1], 6),
+    (wire.MAGIC + bytes((1, 1)) + (2).to_bytes(4, "big") + b"\x00\x53", wire.HEADER_LEN),
+], ids=["short-header", "length-cap", "long-frame", "short-frame", "leading-zero"])
+def test_a_frame_fault_names_its_byte(frame, offset):
+    with pytest.raises(ParseError) as excinfo:
+        wire.decode_msg(frame)
+    assert excinfo.value.offset == offset
+
+
+@pytest.mark.parametrize("decode, offset", [
+    (lambda: encoding.decode_uint(b"\xff" * 5 + b"\x00\x00\x00", 5), 5),  # truncated prefix
+    (lambda: encoding.decode_uint(b"\xff" + encoding.encode_uint(300)[:-1], 1), 5),
+    (lambda: encoding.decode_uint(b"\xff\x00\x00\x00\x01\x00", 1), 5),  # leading zero
+    (lambda: encoding.decode_fields(encoding.encode_uint(7) + b"\x01\x02", 1), 5),
+], ids=["truncated-prefix", "truncated-field", "leading-zero", "trailing-bytes"])
+def test_a_field_fault_names_its_byte(decode, offset):
+    with pytest.raises(ParseError) as excinfo:
+        decode()
+    assert excinfo.value.offset == offset

@@ -66,8 +66,11 @@ def pytest_make_collect_report(collector):
     timeout = float(config.getini("faulthandler_timeout") or 0)
     if not timeout:
         return (yield)
-    exit_on_timeout = config.getini("faulthandler_exit_on_timeout")
-    faulthandler.dump_traceback_later(timeout, exit=exit_on_timeout, file=config.stash[WATCHDOG_FD])
+    faulthandler.dump_traceback_later(
+        timeout,
+        exit=config.getini("faulthandler_exit_on_timeout"),
+        file=config.stash[WATCHDOG_FD],
+    )
     try:
         return (yield)
     finally:

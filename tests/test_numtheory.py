@@ -190,10 +190,15 @@ def test_gen_prime_bit_length_and_primality(bits):
     assert nt.is_probable_prime(value, 40)
 
 
-def test_gen_prime_rejects_fewer_than_three_bits():
-    for bits in (1, 2):
-        with pytest.raises(DomainError, match="at least 3 bits"):
-            nt.gen_prime(bits)
+def test_gen_prime_rejects_one_bit():
+    with pytest.raises(DomainError, match="at least 3 bits"):
+        nt.gen_prime(1)
+
+
+def test_gen_prime_two_bits():
+    # keygen never asks for fewer than 4 bits, so 2-bit primes are refused
+    with pytest.raises(DomainError, match="at least 3 bits"):
+        nt.gen_prime(2)
 
 
 def test_random_unit_smallest_modulus():

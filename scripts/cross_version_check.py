@@ -12,8 +12,9 @@ is revealed iff it is c^k mod n^2 for the first pass c and some k < n. It
 checks that importing the CLI, net, signature and trapdoor modules leaves
 ``dataclasses`` unloaded, and the repr, equality, hash and pickle round trip
 of one instance of each value type. Then it hashes serialize_key of seeded
-256-bit keys and compares the digest with the one Python 3.11 gives. Prints
-one line per check; exits 1 on the first failure.
+256-bit keys, and the frames of one seeded three-pass session over a
+memory channel pair at a 128-bit key, and compares each digest with the one
+Python 3.11 gives. Prints one line per check; exits 1 on the first failure.
 """
 
 import hashlib
@@ -22,6 +23,7 @@ import pickle
 import random
 import subprocess
 import sys
+import threading
 
 from p3p import keyfile, net, paillier, signature, threepass, wire
 from p3p.errors import MalformedMessage
@@ -29,6 +31,8 @@ from p3p.errors import MalformedMessage
 # sha256 over serialize_key of keygen(128, Random(seed)) for seeds 0-3, as
 # Python 3.11.7 computes it
 SEEDED_KEYS_SHA256 = "a386f2349154f7b325c6abfd1610823af84ec2aa5916344c7e8edbfc0bd5cc21"
+# sha256 over the frames of seeded_session_frames(), as Python 3.11.7 computes it
+SEEDED_SESSION_SHA256 = "970dbe4a67fbbe934418f8042c364207a755ba3081120ed2cc9d1de2b252828d"
 
 
 def check_toy_key(sk):
@@ -138,6 +142,21 @@ def seeded_keys_digest():
     return digest.hexdigest()
 
 
+def seeded_session_frames():
+    """The frames of one session: key keygen(64, Random(0)), message 12345,
+    initiator Random(1), responder Random(2)."""
+    sk = paillier.keygen(64, random.Random(0))
+    init_channel, resp_channel = net.memory_channel_pair(timeout=10.0)
+    responder = threading.Thread(
+        target=net.run_responder, args=(resp_channel, random.Random(2))
+    )
+    responder.start()
+    session = threepass.PaillierInitiatorSession(sk, 12345)
+    outcome = net.run_initiator(init_channel, session, random.Random(1))
+    responder.join()
+    return b"".join(outcome.frames)
+
+
 def main():
     version = sys.version.split()[0]
     for p, q in ((3, 5), (5, 7)):
@@ -167,6 +186,11 @@ def main():
         print(f"{version}: FAIL seeded serialize_key digest {digest}")
         return 1
     print(f"{version}: ok seeded serialize_key digest {digest[:16]}")
+    digest = hashlib.sha256(seeded_session_frames()).hexdigest()
+    if digest != SEEDED_SESSION_SHA256:
+        print(f"{version}: FAIL seeded session frames digest {digest}")
+        return 1
+    print(f"{version}: ok seeded session frames digest {digest[:16]}")
     return 0
 
 

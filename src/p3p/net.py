@@ -1,12 +1,14 @@
 """Run the homomorphic three-pass protocol between two endpoints.
 
-The runner speaks whole wire frames over a minimal channel interface, so
-the same code drives a TCP socket or an in-process queue pair (tests use
-the latter; the bytes on either transport are identical under the same
-randomness). Each outcome records the raw frames in conversation order
-for transcript comparison.
+Each role is a generator that holds the protocol and does no I/O: it
+yields a WireMessage to send, or None to take the peer's next frame, and
+returns its passes. One driver carries either role over a minimal channel
+interface, so the same code drives a TCP socket or an in-process queue
+pair (the bytes on either are identical under the same randomness). The
+driver alone sends, receives and aborts, and it records the raw frames in
+conversation order for transcript comparison.
 
-A malformed or unexpected frame makes the runner send a best-effort ERROR
+A malformed or unexpected frame makes the driver send a best-effort ERROR
 frame and raise ProtocolError, whichever transport carried it; a socket
 checks each header before it reads the payload, so a bad header ends the
 session at once. A silent peer raises ProtocolTimeout after the channel's
@@ -40,7 +42,6 @@ from .threepass import PaillierInitiatorSession, PaillierResponderSession
 from .wire import (
     HEADER_LEN,
     MsgType,
-    WireMessage,
     check_header,
     decode_msg,
     encode_msg,
@@ -159,45 +160,73 @@ class ResponderOutcome(Record):
     _fields = ("recovered", "pass1", "pass2", "pass3", "frames")
 
 
-def _send(channel, frames: list, msg: WireMessage) -> None:
-    frame = encode_msg(msg)
-    channel.send(frame)
-    frames.append(frame)
-
-
-def _abort(channel, reason: str) -> ProtocolError:
+def _expect(expected: MsgType, pk: PublicKey):
+    """Take the peer's next frame and return its value, if it is ``expected``."""
     try:
-        channel.send(encode_msg(error_message(reason)))
-    except Exception:
-        pass  # peer may already be gone; the local error is what matters
-    return ProtocolError(reason)
-
-
-def _recv_expect(
-    channel, frames: list, expected: MsgType, pk: PublicKey
-) -> WireMessage:
-    try:
-        frames.append(channel.recv())
-        msg = decode_msg(frames[-1], pk)
+        msg = decode_msg((yield), pk)
     except ParseError as exc:
         raise MalformedMessage(f"bad frame: {exc}") from exc
     if msg.msg_type is MsgType.ERROR:
         raise ProtocolError(f"peer reported: {msg.error_text}")
     if msg.msg_type is not expected:
         raise MalformedMessage(f"expected {expected.name}, got {msg.msg_type.name}")
-    return msg
+    return msg.value
 
 
-def _announced_key(channel, frames: list) -> PublicKey:
+def _initiator(session: PaillierInitiatorSession, rng: nt.RandomSource | None):
+    pk = session.sk.public
+    yield key_announce(pk.n, pk.g)
+    pass1 = session.step1_send(rng)
+    yield pass_message(MsgType.PASS1, pass1)
+    pass2 = yield from _expect(MsgType.PASS2, pk)
+    pass3 = session.step3_reveal(pass2)
+    yield pass_message(MsgType.PASS3, pass3)
+    return pass1, pass2, pass3
+
+
+def _responder(rng: nt.RandomSource | None):
     try:
-        frames.append(channel.recv())
-        n, g = parse_key_announce(decode_msg(frames[0]))
+        n, g = parse_key_announce(decode_msg((yield)))
     except ParseError as exc:
         raise MalformedMessage(f"bad key announce: {exc}") from exc
     try:
-        return PublicKey(n=n, g=g)
+        pk = PublicKey(n=n, g=g)
     except DomainError as exc:
         raise MalformedMessage(f"announced key is unusable: {exc}") from exc
+    session = PaillierResponderSession(pk)
+    pass1 = yield from _expect(MsgType.PASS1, pk)
+    pass2 = session.step2_respond(pass1, rng)
+    yield pass_message(MsgType.PASS2, pass2)
+    pass3 = yield from _expect(MsgType.PASS3, pk)
+    return session.step4_recover(pass3), pass1, pass2, pass3
+
+
+def _converse(channel, conversation) -> tuple:
+    """Carry one role over ``channel``; return its passes and every frame.
+    The role is resumed with each frame it sent or asked for."""
+    frames: list[bytes] = []
+    try:
+        msg = next(conversation)
+        while True:
+            if msg is None:
+                try:
+                    frame = channel.recv()
+                except ParseError as exc:  # a bad header, refused by the socket
+                    msg = conversation.throw(exc)
+                    continue
+            else:
+                frame = encode_msg(msg)
+                channel.send(frame)
+            frames.append(frame)
+            msg = conversation.send(frame)
+    except StopIteration as done:
+        return (*done.value, tuple(frames))
+    except MalformedMessage as exc:
+        try:
+            channel.send(encode_msg(error_message(str(exc))))
+        except Exception:
+            pass  # peer may already be gone; the local error is what matters
+        raise ProtocolError(str(exc)) from exc
 
 
 def run_initiator(
@@ -206,40 +235,14 @@ def run_initiator(
     rng: nt.RandomSource | None = None,
 ) -> InitiatorOutcome:
     """Drive the sender side over an open channel."""
-    pk = session.sk.public
-    frames: list[bytes] = []
-    try:
-        _send(channel, frames, key_announce(pk.n, pk.g))
-        pass1 = session.step1_send(rng)
-        _send(channel, frames, pass_message(MsgType.PASS1, pass1))
-        pass2 = _recv_expect(channel, frames, MsgType.PASS2, pk).value
-        pass3 = session.step3_reveal(pass2)
-        _send(channel, frames, pass_message(MsgType.PASS3, pass3))
-    except MalformedMessage as exc:
-        raise _abort(channel, str(exc)) from exc
-    return InitiatorOutcome(
-        pass1=pass1, pass2=pass2, pass3=pass3, frames=tuple(frames)
-    )
+    return InitiatorOutcome(*_converse(channel, _initiator(session, rng)))
 
 
 def run_responder(
     channel, rng: nt.RandomSource | None = None
 ) -> ResponderOutcome:
     """Drive the receiver side; returns a ResponderOutcome."""
-    frames: list[bytes] = []
-    try:
-        pk = _announced_key(channel, frames)
-        session = PaillierResponderSession(pk)
-        pass1 = _recv_expect(channel, frames, MsgType.PASS1, pk).value
-        pass2 = session.step2_respond(pass1, rng)
-        _send(channel, frames, pass_message(MsgType.PASS2, pass2))
-        pass3 = _recv_expect(channel, frames, MsgType.PASS3, pk).value
-        recovered = session.step4_recover(pass3)
-    except MalformedMessage as exc:
-        raise _abort(channel, str(exc)) from exc
-    return ResponderOutcome(
-        recovered=recovered, pass1=pass1, pass2=pass2, pass3=pass3, frames=tuple(frames)
-    )
+    return ResponderOutcome(*_converse(channel, _responder(rng)))
 
 
 def _check_endpoint(port: int, lowest_port: int, timeout: float) -> None:

@@ -757,3 +757,121 @@ def test_tcp_entry_points_reject_a_timeout_not_finite_and_positive(no_sockets, t
         with pytest.raises(DomainError) as caught:
             start()
         assert str(caught.value) == "timeout must be a finite number > 0"
+
+
+def split_frames(data):
+    """The frames of a byte stream, in order."""
+    frames = []
+    while data:
+        _, length = wire.check_header(data[:wire.HEADER_LEN])
+        frames.append(data[:wire.HEADER_LEN + length])
+        data = data[wire.HEADER_LEN + length:]
+    return frames
+
+
+KNOWN_FRAMES = [wire.encode_msg(msg) for msg in (  # test_memory_run_known_transcript's
+    wire.key_announce(15, 16),
+    wire.pass_message(MsgType.PASS1, 83),
+    wire.pass_message(MsgType.PASS2, 139),
+    wire.pass_message(MsgType.PASS3, 14),
+)]
+
+
+def test_a_bad_header_after_the_announce_gets_one_error_frame_from_the_responder():
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(KNOWN_FRAMES[0] + bytes(10))
+        channel = net.SocketChannel(ours, timeout=5.0)
+        with pytest.raises(ProtocolError, match="^bad frame: bad magic"):
+            net.run_responder(channel, ScriptedRandom([2]))
+        channel.close()
+        (reply,) = split_frames(read_to_end(theirs))
+    assert wire.decode_msg(reply).msg_type is MsgType.ERROR
+
+
+def test_a_bad_header_as_pass_2_gets_one_error_frame_from_the_initiator():
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(b"XXXX" + bytes(6))
+        channel = net.SocketChannel(ours, timeout=5.0)
+        session = PaillierInitiatorSession(KEY15, 7)
+        with pytest.raises(ProtocolError, match="^bad frame: bad magic"):
+            net.run_initiator(channel, session, ScriptedRandom([2]))
+        channel.close()
+        announce, pass1, error = split_frames(read_to_end(theirs))
+    assert [announce, pass1] == KNOWN_FRAMES[:2]
+    assert wire.decode_msg(error).msg_type is MsgType.ERROR
+
+
+class RecordingChannel:
+    """A channel that keeps every frame sent and replies from a list."""
+
+    def __init__(self, replies):
+        self.sent = []
+        self.replies = list(replies)
+
+    def send(self, frame):
+        self.sent.append(frame)
+
+    def recv(self):
+        return self.replies.pop(0)
+
+
+def test_the_announce_goes_out_before_pass_1_is_computed():
+    channel = RecordingChannel([KNOWN_FRAMES[2]])
+    session = PaillierInitiatorSession(KEY15, 7)
+    step1_send = session.step1_send
+
+    def checked_step1_send(rng=None):
+        assert channel.sent == KNOWN_FRAMES[:1]
+        return step1_send(rng)
+
+    session.step1_send = checked_step1_send
+    outcome = net.run_initiator(channel, session, ScriptedRandom([2]))
+    assert channel.sent == [KNOWN_FRAMES[0], KNOWN_FRAMES[1], KNOWN_FRAMES[3]]
+    assert list(outcome.frames) == KNOWN_FRAMES
+
+
+def test_an_abort_whose_error_frame_cannot_be_sent_keeps_its_reason():
+    class GoneChannel:
+        sends = 0
+
+        def recv(self):
+            return bytes(32)
+
+        def send(self, frame):
+            self.sends += 1
+            raise ProtocolError("send failed: gone")
+
+    channel = GoneChannel()
+    with pytest.raises(ProtocolError, match="^bad key announce: bad magic"):
+        net.run_responder(channel)
+    assert channel.sends == 1
+
+
+def exchange(initiator, responder):
+    """Run two roles against each other with bytes only: each frame that
+    one role yields resumes it and, if it is waiting, its peer. Returns
+    both results and the frames in order."""
+    roles = (initiator, responder)
+    wants = [next(role) for role in roles]
+    results, frames = {}, []
+    while speakers := [i for i in (0, 1) if isinstance(wants[i], wire.WireMessage)]:
+        frames.append(wire.encode_msg(wants[speakers[0]]))
+        for i, role in enumerate(roles):
+            if i not in results and (i == speakers[0] or wants[i] is None):
+                try:
+                    wants[i] = role.send(frames[-1])
+                except StopIteration as done:
+                    results[i], wants[i] = done.value, None
+    return results.get(0), results.get(1), frames
+
+
+def test_the_roles_need_no_transport():
+    session = PaillierInitiatorSession(KEY15, 7)
+    passes, responder, frames = exchange(
+        net._initiator(session, ScriptedRandom([2])), net._responder(ScriptedRandom([2]))
+    )
+    assert passes == (83, 139, 14)
+    assert responder == (7, 83, 139, 14)
+    assert frames == KNOWN_FRAMES

@@ -9,15 +9,15 @@ driver alone sends, receives and aborts, and it records the raw frames in
 conversation order for transcript comparison.
 
 A malformed or unexpected frame makes the driver send a best-effort ERROR
-frame and raise ProtocolError, whichever transport carried it; a socket
-checks each header before it reads the payload, so a bad header ends the
-session at once. A silent peer raises ProtocolTimeout after the channel's
-timeout. Over TCP that timeout is a deadline for the whole conversation,
-so a peer that sends slowly cannot hold a session open either. The
-runners never close their channel: the caller that opened it closes it, on
-every path. The TCP entry points check port and timeout before any socket
-call, and raise DomainError for one out of range. The listener runs each
-session on a worker thread, at most MAX_PARALLEL_SESSIONS at once.
+frame and raise ProtocolError, whichever transport carried it. A socket
+hands a header it refuses to the role like any other frame, with no payload
+byte read, so a bad header ends the session at once. A silent peer raises
+ProtocolTimeout after the channel's timeout. Over TCP that timeout is a
+deadline for the whole conversation, so a slow sender cannot hold a session
+open either. The runners never close their channel: whoever opened it closes
+it, on every path. The TCP entry points check port and timeout before any
+socket call, and raise DomainError for one out of range. The listener runs
+each session on a worker thread, at most MAX_PARALLEL_SESSIONS at once.
 """
 
 import math
@@ -58,8 +58,8 @@ MAX_PARALLEL_SESSIONS = 16  # sessions serve_three_pass runs at once with parall
 class SocketChannel:
     """Frame transport over a connected TCP socket.
 
-    ``timeout`` seconds after construction the channel stops waiting:
-    every later send or receive raises ProtocolTimeout.
+    ``recv`` stops at a header that check_header refuses, and returns it.
+    After ``timeout`` seconds every send or receive raises ProtocolTimeout.
     """
 
     def __init__(self, sock: socket.socket, timeout: float = DEFAULT_TIMEOUT):
@@ -84,7 +84,10 @@ class SocketChannel:
 
     def recv(self) -> bytes:
         header = self._read_exact(HEADER_LEN)
-        _, length = check_header(header)
+        try:
+            _, length = check_header(header)
+        except ParseError:
+            return header  # refused: the role's decode_msg says why
         return header + self._read_exact(length)
 
     def _read_exact(self, count: int) -> bytes:
@@ -209,11 +212,7 @@ def _converse(channel, conversation) -> tuple:
         msg = next(conversation)
         while True:
             if msg is None:
-                try:
-                    frame = channel.recv()
-                except ParseError as exc:  # a bad header, refused by the socket
-                    msg = conversation.throw(exc)
-                    continue
+                frame = channel.recv()
             else:
                 frame = encode_msg(msg)
                 channel.send(frame)

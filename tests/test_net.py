@@ -12,7 +12,7 @@ import weakref
 import pytest
 
 from p3p import net, paillier, wire
-from p3p.errors import DomainError, ProtocolError, ProtocolTimeout
+from p3p.errors import DomainError, ParseError, ProtocolError, ProtocolTimeout
 from p3p.threepass import PaillierInitiatorSession
 from p3p.wire import MsgType
 
@@ -847,6 +847,58 @@ def test_an_abort_whose_error_frame_cannot_be_sent_keeps_its_reason():
     with pytest.raises(ProtocolError, match="^bad key announce: bad magic"):
         net.run_responder(channel)
     assert channel.sends == 1
+
+
+ONE_BYTE = (1).to_bytes(4, "big")
+REFUSED_HEADERS = {  # each refused by wire.check_header
+    "bad-magic": b"XXXX" + bytes((1, 1)) + ONE_BYTE,
+    "version-9": wire.MAGIC + bytes((9, 1)) + ONE_BYTE,
+    "type-9": wire.MAGIC + bytes((1, 9)) + ONE_BYTE,
+    "length-over-cap": wire.MAGIC + bytes((1, 1)) + (wire.MAX_PAYLOAD + 1).to_bytes(4, "big"),
+}
+
+
+@pytest.mark.parametrize("refused", REFUSED_HEADERS.values(), ids=list(REFUSED_HEADERS))
+def test_a_socket_returns_a_refused_header_and_reads_nothing_past_it(refused):
+    with pytest.raises(ParseError):
+        wire.check_header(refused)
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(refused + b"after")
+        assert net.SocketChannel(ours, timeout=5.0).recv() == refused
+        assert ours.recv(5) == b"after"
+
+
+ROLES = {  # each takes the refused header as its first frame from the peer
+    "responder": lambda channel: net.run_responder(channel, ScriptedRandom([2])),
+    "initiator": lambda channel: net.run_initiator(
+        channel, PaillierInitiatorSession(KEY15, 7), ScriptedRandom([2])
+    ),
+}
+
+
+def refusal(role, channel):
+    with pytest.raises(ProtocolError) as caught:
+        role(channel)
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("role", ROLES.values(), ids=list(ROLES))
+@pytest.mark.parametrize("refused", REFUSED_HEADERS.values(), ids=list(REFUSED_HEADERS))
+def test_a_refused_header_gets_the_same_answer_over_a_socket_as_in_memory(role, refused):
+    recording = RecordingChannel([refused])
+    expected = refusal(role, recording)
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(refused)
+        channel = net.SocketChannel(ours, timeout=5.0)
+        text = refusal(role, channel)
+        channel.close()
+        sent = split_frames(read_to_end(theirs))
+    assert expected.startswith(("bad key announce: ", "bad frame: "))
+    assert text == expected
+    assert sent == recording.sent
+    assert wire.decode_msg(sent[-1]).msg_type is MsgType.ERROR
 
 
 def exchange(initiator, responder):

@@ -12,9 +12,11 @@ is revealed iff it is c^k mod n^2 for the first pass c and some k < n. It
 checks that importing the CLI, net, signature and trapdoor modules leaves
 ``dataclasses`` unloaded, and the repr, equality, hash and pickle round trip
 of one instance of each value type. Then it hashes serialize_key of seeded
-256-bit keys, and the frames of one seeded three-pass session over a
-memory channel pair at a 128-bit key, and compares each digest with the one
-Python 3.11 gives. Prints one line per check; exits 1 on the first failure.
+256-bit keys, the frames of one seeded three-pass session over a memory
+channel pair at a 128-bit key, and numtheory's x^e mod m^2 kernel over
+seeded (x, e, m) triples from 64 to 2048 bits, each value first checked
+against the built-in pow, and compares each digest with the one Python
+3.11 gives. Prints one line per check; exits 1 on the first failure.
 """
 
 import hashlib
@@ -26,6 +28,7 @@ import sys
 import threading
 
 from p3p import keyfile, net, paillier, signature, threepass, wire
+from p3p import numtheory as nt
 from p3p.errors import MalformedMessage
 
 # sha256 over serialize_key of keygen(128, Random(seed)) for seeds 0-3, as
@@ -33,6 +36,8 @@ from p3p.errors import MalformedMessage
 SEEDED_KEYS_SHA256 = "a386f2349154f7b325c6abfd1610823af84ec2aa5916344c7e8edbfc0bd5cc21"
 # sha256 over the frames of seeded_session_frames(), as Python 3.11.7 computes it
 SEEDED_SESSION_SHA256 = "970dbe4a67fbbe934418f8042c364207a755ba3081120ed2cc9d1de2b252828d"
+# sha256 over the values of seeded_kernel_values(), as Python 3.11.7 computes it
+SEEDED_KERNEL_SHA256 = "589972e9c25a6f2067ff52cd5099c22008032db94572bed9ceb5b2dc0f0e4f95"
 
 
 def check_toy_key(sk):
@@ -157,6 +162,23 @@ def seeded_session_frames():
     return b"".join(outcome.frames)
 
 
+def seeded_kernel_values():
+    """x^e mod m^2 by the kernel for four triples (x, e, m) per size of m,
+    x in [-m^2, 2m^2) and e as wide as m, from Random(0), hashed; or the
+    size at which one differs from the built-in pow."""
+    rng = random.Random(0)
+    digest = hashlib.sha256()
+    for bits in (64, 128, 256, 512, 1024, 2048):
+        for _ in range(4):
+            m = rng.getrandbits(bits) | 1 << (bits - 1)
+            x, e = rng.randrange(-m * m, 2 * m * m), rng.getrandbits(bits)
+            value = nt._pow_mod_square(x, e, m)
+            if value != pow(x, e, m * m):
+                return f"differs from pow at {bits} bits"
+            digest.update(value.to_bytes(bits // 4, "big"))
+    return digest.hexdigest()
+
+
 def main():
     version = sys.version.split()[0]
     for p, q in ((3, 5), (5, 7)):
@@ -191,6 +213,11 @@ def main():
         print(f"{version}: FAIL seeded session frames digest {digest}")
         return 1
     print(f"{version}: ok seeded session frames digest {digest[:16]}")
+    digest = seeded_kernel_values()
+    if digest != SEEDED_KERNEL_SHA256:
+        print(f"{version}: FAIL seeded x^e mod m^2 digest {digest}")
+        return 1
+    print(f"{version}: ok seeded x^e mod m^2 digest {digest[:16]}")
     return 0
 
 

@@ -74,6 +74,56 @@ def l_function(u: int, n: int) -> int:
     return quotient
 
 
+# Width of _pow_mod_square's sliding window; 6 ran within 1% of it at 2048 bits.
+_WINDOW = 5
+
+
+def _pow_mod_square(x: int, e: int, m: int) -> int:
+    """x^e mod m^2 for e >= 0 and m >= 1, on the m-adic digits of each residue.
+
+    A residue y is held as (y mod m, y div m), so a product mod m^2 needs
+    half-size products and two divisions by m, not one division by m^2
+    (Takagi, CRYPTO '98, with p-adic digits). The window pattern follows
+    the bits of e, as the built-in ``pow``'s does.
+    """
+
+    def mul(a, b):
+        carry, lo = divmod(a[0] * b[0], m)
+        return lo, (carry + a[0] * b[1] + a[1] * b[0]) % m
+
+    def square(a):
+        carry, lo = divmod(a[0] * a[0], m)
+        return lo, (carry + 2 * a[0] * a[1]) % m
+
+    if e == 0:
+        return 1 % (m * m)
+    bits = bin(e)[2:]
+    width = min(_WINDOW, len(bits))
+    hi, lo = divmod(x % (m * m), m)
+    # odd_powers[k] is x^(2k + 1)
+    odd_powers = [(lo, hi)]
+    x_squared = square(odd_powers[0])
+    for _ in range(1, 1 << (width - 1)):
+        odd_powers.append(mul(odd_powers[-1], x_squared))
+    acc, i = None, 0
+    while i < len(bits):
+        if bits[i] == "0":
+            acc = square(acc)
+            i += 1
+            continue
+        # the longest window from i that ends in a 1
+        end = bits.rfind("1", i, i + width) + 1
+        power = odd_powers[int(bits[i:end], 2) >> 1]
+        if acc is None:
+            acc = power
+        else:
+            for _ in range(end - i):
+                acc = square(acc)
+            acc = mul(acc, power)
+        i = end
+    return acc[0] + acc[1] * m
+
+
 def _sieve(limit: int) -> bytearray:
     """flags[i] is 1 exactly when i <= limit is prime."""
     flags = bytearray([1]) * (limit + 1)

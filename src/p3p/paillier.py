@@ -214,10 +214,11 @@ def _public(key: PublicKey | PrivateKey) -> PublicKey:
 
 
 def _nth_power(key: PublicKey | PrivateKey, x: int) -> int:
-    """x^n mod n^2; with the private key, by CRT and the Teichmueller lift
+    """x^n mod n^2: under the public key by numtheory's digit-pair kernel;
+    with the private key, by CRT and the Teichmueller lift
     (``_Half.nth_power``). Both paths give the same value for every x."""
     if isinstance(key, PublicKey):
-        return pow(x, key.n, key.n_squared)
+        return nt._pow_mod_square(x, key.n, key.n)
     return sum(h.nth_power(x) * h.u2 for h in key.halves) % key.public.n_squared
 
 
@@ -325,7 +326,7 @@ def scalar_mul(pk: PublicKey, c: Ciphertext, k: int) -> Ciphertext:
     _check_key(pk, c)
     if k < 0:
         raise DomainError("scalar must be non-negative")
-    return Ciphertext(pow(c.value, k, pk.n_squared), pk.fingerprint)
+    return Ciphertext(nt._pow_mod_square(c.value, k, pk.n), pk.fingerprint)
 
 
 def add_plaintext(pk: PublicKey, c: Ciphertext, m2: int) -> Ciphertext:

@@ -121,7 +121,7 @@ class PaillierResponderSession:
         x = nt.random_unit(pk.n, rng)
         self._m2 = pow(x, pk.n, pk.n) if self.hardened else x
         self.state = ResponderState.SENT_M2
-        return pow(first_pass, self._m2, pk.n_squared)
+        return nt._pow_mod_square(first_pass, self._m2, pk.n)
 
     def step4_recover(self, third_pass: int) -> int:
         """Divide the secret back out of the revealed product."""

@@ -83,6 +83,12 @@ def brute_force_class(n, g, w):
     return found.pop()
 
 
+def textbook_encrypt(n, m, x):
+    """Paillier's g^m * x^n mod n^2 for the base g = n + 1, by the built-in pow."""
+    n2 = n * n
+    return pow(n + 1, m, n2) * pow(x, n, n2) % n2
+
+
 def textbook_class(p, q, g, w):
     """Class of w relative to base g through the Carmichael value:
     L(w^lambda mod n^2) * L(g^lambda mod n^2)^-1 mod n. With the key's

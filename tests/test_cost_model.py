@@ -2,7 +2,8 @@
 modulo what, at a seeded 512-bit key; and at n = 15 and n = 35, the ordered
 list of those calls with their exponents' bit lengths. A recording ``pow``
 is set in the globals of the modules that exponentiate, the way the
-benchmark's tracer shadows the builtin. It counts and never times, so every
+benchmark's tracer shadows the builtin, and numtheory's x^e mod m^2 kernel
+is wrapped to record as a pow mod m^2. It counts and never times, so every
 budget is exact. A change that predicts fewer or other exponentiations
 edits exactly the budgets it predicts."""
 
@@ -28,19 +29,36 @@ for r in (SK.p, SK.q):
     MODULI.update({r * r: "mod r^2", r: "mod r"})
 
 
+def record_pows(monkeypatch, record):
+    """Call record(modulus, exponent) for each modular pow made in numtheory,
+    paillier and threepass, and for each x^e mod m^2 that numtheory's
+    digit-pair kernel computes, under the modulus m^2."""
+    kernel = nt._pow_mod_square
+
+    def recording_pow(base, exp, mod=None):
+        if mod is not None:
+            record(mod, exp)
+        return builtins.pow(base, exp, mod)
+
+    def recording_kernel(x, e, m):
+        record(m * m, e)
+        return kernel(x, e, m)
+
+    for module in (nt, paillier, threepass):
+        monkeypatch.setattr(module, "pow", recording_pow, raising=False)
+    monkeypatch.setattr(nt, "_pow_mod_square", recording_kernel)
+
+
 @pytest.fixture
 def pows(monkeypatch):
-    """Counts of the modular pow calls made in numtheory, paillier and
+    """Counts of the modular exponentiations made in numtheory, paillier and
     threepass; a negative exponent counts as an inverse, whatever its modulus."""
     counts = collections.Counter()
 
-    def counting_pow(base, exp, mod=None):
-        if mod is not None:
-            counts["inverse" if exp < 0 else MODULI.get(mod, "mod other")] += 1
-        return builtins.pow(base, exp, mod)
+    def count(mod, exp):
+        counts["inverse" if exp < 0 else MODULI.get(mod, "mod other")] += 1
 
-    for module in (nt, paillier, threepass):
-        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    record_pows(monkeypatch, count)
     return counts
 
 
@@ -100,17 +118,14 @@ def test_a_key_announce_alone_costs_the_responder_no_pow(pows):
 
 @pytest.fixture
 def pow_calls(monkeypatch):
-    """The modular pow calls made in the same modules, in order:
+    """The modular exponentiations made in the same modules, in order:
     (modulus, exponent bit length), or "inverse" for a negative exponent."""
     calls = []
 
-    def recording_pow(base, exp, mod=None):
-        if mod is not None:
-            calls.append("inverse" if exp < 0 else (mod, exp.bit_length()))
-        return builtins.pow(base, exp, mod)
+    def append(mod, exp):
+        calls.append("inverse" if exp < 0 else (mod, exp.bit_length()))
 
-    for module in (nt, paillier, threepass):
-        monkeypatch.setattr(module, "pow", recording_pow, raising=False)
+    record_pows(monkeypatch, append)
     return calls
 
 

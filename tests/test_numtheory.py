@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from p3p import cli, paillier, threepass
+from p3p import cli, paillier, signature, threepass
 from p3p import numtheory as nt
 from p3p.errors import DomainError, NotInvertible, P3PError
 
@@ -13,6 +13,7 @@ from conftest import ScriptedRandom
 from oracles import (
     egcd_inverse,
     strong_probable_prime,
+    textbook_encrypt,
     textbook_gen_prime,
     trial_division_is_prime,
 )
@@ -67,6 +68,66 @@ def test_l_function_rejects_non_root():
 def test_l_function_inverts_linear_form(k, n):
     u = 1 + k * n
     assert nt.l_function(u, n) * n + 1 == u
+
+
+def test_pow_mod_square_matches_pow_on_every_small_case():
+    # every 6-bit exponent, every residue with a negative and a wide twin
+    for m in range(1, 17):
+        m2 = m * m
+        for x in range(-m2, 2 * m2):
+            for e in range(64):
+                assert nt._pow_mod_square(x, e, m) == pow(x, e, m2), (x, e, m)
+
+
+def exponents_with_long_zero_runs():
+    """e = high * 2^(gap + k) + low with low < 2^k: a run of gap + 1 or more
+    zero bits, longer than the window, inside the exponent."""
+    return st.builds(
+        lambda high, gap, k, low: (high << (gap + k)) | (low % (1 << k)),
+        st.integers(1, 2**600), st.integers(nt._WINDOW + 1, 300),
+        st.integers(1, 600), st.integers(0, 2**600),
+    )
+
+
+@given(
+    x=st.integers(-(2**2400), 2**2401),
+    e=st.one_of(
+        st.integers(0, 2**2500),
+        st.integers(0, 2500).map(lambda k: 2**k),
+        st.integers(1, 2500).map(lambda k: 2**k - 1),
+        exponents_with_long_zero_runs(),
+    ),
+    m=st.integers(1, 2**1200),
+)
+@example(x=5, e=0, m=1)
+@example(x=2**1199 + 3, e=1, m=2**1200 - 1)
+@example(x=-7, e=2**2500, m=2**1200 - 3)
+@example(x=3**1000, e=2**2500 - 1, m=2**1199 + 5)
+@example(x=7, e=2**2000 + 1, m=2**1024 - 105)
+@settings(derandomize=True, deadline=None, max_examples=60)
+def test_pow_mod_square_matches_pow(x, e, m):
+    assert nt._pow_mod_square(x, e, m) == pow(x, e, m * m)
+
+
+@pytest.mark.parametrize("bits", [1024, 2048])
+def test_public_modulus_operations_match_the_oracle(bits):
+    """Public-key encrypt, verify, scalar_mul and the responder's pass 2 at
+    real key sizes against the built-in pow. They use only n, so n is a
+    seeded odd number of the given size, not a product of two primes."""
+    rng = random.Random(f"public-{bits}")
+    n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+    pk, n2 = paillier.PublicKey(n, n + 1), n * n
+    x, m, s1, s2 = (nt.random_unit(n, rng) for _ in range(4))
+    c = paillier.encrypt(pk, m, ScriptedRandom([x]))
+    assert c.value == textbook_encrypt(n, m, x)
+    signed = textbook_encrypt(n, s1, s2)
+    assert signature.verify(pk, signed, signature.Signature(s1, s2))
+    assert not signature.verify(pk, signed, signature.Signature(s1, s2 - 1))
+    k = rng.getrandbits(bits)
+    assert paillier.scalar_mul(pk, c, k).value == pow(c.value, k, n2)
+    for hardened, m2 in ((False, x), (True, pow(x, n, n))):
+        responder = threepass.PaillierResponderSession(pk, hardened=hardened)
+        assert responder.step2_respond(c.value, ScriptedRandom([x])) == pow(c.value, m2, n2)
 
 
 def test_primality_known_values():

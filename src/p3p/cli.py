@@ -242,6 +242,7 @@ def _cmd_unblind(args) -> int:
 def _cmd_listen(args) -> int:
     from . import net
 
+    shown = f"[{args.host}]" if ":" in args.host else args.host  # as --addr takes it
     net.serve_three_pass(
         port=args.port,
         host=args.host,
@@ -249,7 +250,7 @@ def _cmd_listen(args) -> int:
         parallel=args.parallel,
         timeout=args.timeout or net.DEFAULT_TIMEOUT,
         seed=args.seed,
-        on_listening=lambda port: print(f"listening {args.host}:{port}", flush=True),
+        on_listening=lambda port: print(f"listening {shown}:{port}", flush=True),
         on_outcome=lambda outcome: print(
             f"recovered {_int_out(args, outcome.recovered)}", flush=True
         ),
@@ -263,8 +264,10 @@ def _cmd_send(args) -> int:
     host, _, port_text = args.addr.rpartition(":")
     if host.startswith("[") and host.endswith("]"):  # [IPv6]:PORT
         host = host[1:-1]
+    elif ":" in host:  # an unbracketed IPv6 host cannot be told from its port
+        host = ""
     if not host:
-        raise _UsageError("--addr must look like HOST:PORT")
+        raise _UsageError("--addr must look like HOST:PORT, or [IPv6]:PORT")
     try:
         port = int(port_text)
     except ValueError:

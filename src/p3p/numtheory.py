@@ -95,17 +95,15 @@ def _pow_mod_square(x: int, e: int, m: int) -> int:
         carry, lo = divmod(a[0] * a[0], m)
         return lo, (carry + 2 * a[0] * a[1]) % m
 
-    if e == 0:
-        return 1 % (m * m)
     bits = bin(e)[2:]
     width = min(_WINDOW, len(bits))
-    hi, lo = divmod(x % (m * m), m)
+    hi, lo = divmod(x, m)
     # odd_powers[k] is x^(2k + 1)
-    odd_powers = [(lo, hi)]
+    odd_powers = [(lo, hi % m)]
     x_squared = square(odd_powers[0])
     for _ in range(1, 1 << (width - 1)):
         odd_powers.append(mul(odd_powers[-1], x_squared))
-    acc, i = None, 0
+    acc, i = (1 % m, 0), 0
     while i < len(bits):
         if bits[i] == "0":
             acc = square(acc)
@@ -113,13 +111,9 @@ def _pow_mod_square(x: int, e: int, m: int) -> int:
             continue
         # the longest window from i that ends in a 1
         end = bits.rfind("1", i, i + width) + 1
-        power = odd_powers[int(bits[i:end], 2) >> 1]
-        if acc is None:
-            acc = power
-        else:
-            for _ in range(end - i):
-                acc = square(acc)
-            acc = mul(acc, power)
+        for _ in range(end - i):
+            acc = square(acc)
+        acc = mul(acc, odd_powers[int(bits[i:end], 2) >> 1])
         i = end
     return acc[0] + acc[1] * m
 

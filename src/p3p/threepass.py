@@ -164,7 +164,7 @@ class ShamirTranscript(Record):
 def shamir_keygen(prime: int, rng: nt.RandomSource | None = None) -> ShamirParty:
     """Draw an exponent coprime to prime - 1 and invert it; below 3 there is
     nothing to draw from, and shamir_party rejects the prime."""
-    rng = rng if rng is not None else nt.system_random()
+    rng = nt._rng(rng)
     e = 1
     while prime > 2:
         e = rng.randrange(1, prime - 1)

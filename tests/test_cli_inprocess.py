@@ -145,6 +145,29 @@ def test_send_rejects_port_outside_range(keypair, capsys, no_connection, port):
     assert err == [f"error: port must be in 1..65535, got {port}"]
 
 
+@pytest.mark.parametrize("addr", ["::1", "fe80::1", "[::1]", "::1:7"])
+def test_send_rejects_an_unbracketed_ipv6_address(tmp_path, capsys, no_connection, addr):
+    # the key file is missing, so the address is refused before the key is read
+    code = cli.main(["3pass-send", "--addr", addr, "--key", str(tmp_path / "absent.key"),
+                     "--message", "2a"])
+    assert code == 1
+    err = error_lines(capsys.readouterr().err)
+    assert len(err) == 1 and "HOST:PORT" in err[0]
+
+
+@pytest.mark.parametrize("host, shown", [("::1", "[::1]"), ("127.0.0.1", "127.0.0.1")])
+def test_listen_prints_an_ipv6_host_in_brackets(capsys, monkeypatch, host, shown):
+    from p3p import net
+
+    def fake_serve(**kwargs):
+        kwargs["on_listening"](7001)
+        return []
+
+    monkeypatch.setattr(net, "serve_three_pass", fake_serve)
+    assert cli.main(["3pass-listen", "--port", "0", "--host", host]) == 0
+    assert capsys.readouterr().out == f"listening {shown}:7001\n"
+
+
 @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
 def test_listen_rejects_port_outside_range(capsys, port):
     assert cli.main(["3pass-listen", "--port", port]) == 1
